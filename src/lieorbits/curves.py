@@ -113,13 +113,17 @@ def tangent_degree_from_roots(
 
 def hilbert_dimension(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> int:
     """Expected dimension of the family of smooth rational curves in the
-    class: tangent degree plus dim(G/P) minus three."""
+    class: tangent degree plus dim(G/P) minus three.  Refused when G/P is a
+    point, which carries no curve."""
     if positivity(c) == "outside":
         raise DomainRefusal(
             "class lies outside the positive cone; no dimension is asserted there"
         )
     marked = _check_nodes(rd, p_nodes)
-    return tangent_degree(rd, marked, c) + quotient_dimension(rd, marked) - 3
+    total = quotient_dimension(rd, marked)
+    if total == 0:
+        raise DomainRefusal("G/P is a point; it carries no curve")
+    return tangent_degree(rd, marked, c) + total - 3
 
 
 @dataclass(frozen=True)
@@ -266,13 +270,10 @@ class ExistenceVerdict:
         }
 
 
-def _classify(lie_type: str, rank: int, marked_std: tuple[int, ...]) -> str:
-    dim = _factor_dimension(lie_type, rank, marked_std)
-    if dim == 1:
-        return "P1"
-    if dim == 2:
-        return "P2"
-    return "other"
+def _classify(dim: int) -> str:
+    """Exceptional shape of a quotient of the given dimension: a line, a
+    plane, or neither."""
+    return {1: "P1", 2: "P2"}.get(dim, "other")
 
 
 def _product_verdict(kinds_and_degrees) -> tuple[bool, Optional[str]]:
@@ -311,33 +312,27 @@ def decide_smooth_rational_curve(
 ) -> ExistenceVerdict:
     """Existence decision for morphisms and smooth curves in the class.
 
-    Morphisms exist exactly on the positive cone.  For strictly positive
-    classes the target itself is tested against the line/plane exceptions;
-    boundary classes are first split along their zero-degree marks and the
-    product of the resulting fibre factors is tested instead.
+    Morphisms exist exactly on the positive cone.  A point (P = G) carries
+    no smooth curve.  For strictly positive classes the target itself is
+    tested against the line/plane exceptions; boundary classes are first
+    split along their zero-degree marks and the product of the resulting
+    fibre factors is tested instead.
     """
     marked = _check_nodes(rd, p_nodes)
     _require_keys(rd, marked, c)
     kind = positivity(c)
     if kind == "outside":
         return ExistenceVerdict(False, False, None, None)
+    if not marked:
+        return ExistenceVerdict(True, False, None, None)
     if kind == "strict":
-        shape = _classify_whole(rd, marked)
+        shape = _classify(quotient_dimension(rd, marked))
         smooth, hit = _product_verdict([(shape, c.degrees)])
         return ExistenceVerdict(True, smooth, None, hit)
     factors = reduce_positive_class(rd, marked, c)
     pairs = [
-        (_classify(f.lie_type, f.rank, f.marked_std), f.restricted.degrees)
+        (_classify(_factor_dimension(f.lie_type, f.rank, f.marked_std)), f.restricted.degrees)
         for f in factors
     ]
     smooth, hit = _product_verdict(pairs)
     return ExistenceVerdict(True, smooth, tuple(factors), hit)
-
-
-def _classify_whole(rd: RootDatum, marked: frozenset[int]) -> str:
-    dim = quotient_dimension(rd, marked)
-    if dim == 1:
-        return "P1"
-    if dim == 2:
-        return "P2"
-    return "other"

@@ -14,6 +14,7 @@ from .parabolic import (
     ConsistencyError,
     ParabolicSequence,
     RootSubset,
+    apply_element,
     borel_chain,
     borel_to_weyl,
     contains_borel,
@@ -24,7 +25,6 @@ from .parabolic import (
     simple_roots_of_borel,
     standard_borel,
     standard_parabolic_set,
-    subset_of,
 )
 from .rootsys import RootDatum
 from .weyl import WeylElement
@@ -46,12 +46,10 @@ def borel_completion(
     p_nodes = _check_nodes(rd, p_nodes)
     pprime_nodes = _check_nodes(rd, pprime_nodes)
     p = standard_parabolic_set(rd, p_nodes)
-    moved_pp = subset_of(
-        rd, (w.perm[i] for i in standard_parabolic_set(rd, pprime_nodes).indices)
-    )
+    moved_pp = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
     span = p | moved_pp
     b = standard_borel(rd)
-    bp = subset_of(rd, (w.perm[i] for i in standard_borel(rd).indices))
+    bp = apply_element(w, b)
 
     def repair(borel: RootSubset, ambient: RootSubset, union: RootSubset) -> Optional[RootSubset]:
         simples = simple_roots_of_borel(rd, borel)
@@ -133,7 +131,7 @@ def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> Desing
     p_nodes = _check_nodes(rd, p_nodes)
     all_nodes = frozenset(range(rd.rank))
     b, w2 = borel_completion(rd, p_nodes, all_nodes, w)
-    seq = parabolic_sequence(rd, b, apply_perm(rd, w2, b))
+    seq = parabolic_sequence(rd, b, apply_element(w2, b))
     n = seq.terminal_index
     raw: list[tuple[tuple[str, int], RootSubset]] = []
     for k in range(1, n + 1):
@@ -167,13 +165,13 @@ def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> Desing
     )
 
 
-def apply_perm(rd: RootDatum, w: WeylElement, s: RootSubset) -> RootSubset:
-    return subset_of(rd, (w.perm[i] for i in s.indices))
-
-
 def tower_dimension(t: DesingTower) -> int:
-    """Junction-accounted dimension of the tower modulo its quotient."""
-    rd = t.rd
+    """Junction-accounted dimension of the tower modulo its quotient.
+
+    This is the length of the minimal element of the left coset ``W_P w``,
+    where ``W_P`` is generated by the simple reflections of the unmarked
+    nodes of the quotient and ``w`` is the element the tower was built for.
+    """
     total = 0
     for i in range(len(t.factors) - 1):
         total += len(t.factors[i]) - len(t.junctions[i])
@@ -206,7 +204,9 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
 
     The grand chain descends from the moved Borel to the base Borel; each
     consecutive pair spans a minimal parabolic, and the induced word is a
-    reduced expression whose product is the tower's base element.
+    reduced expression.  Its product is ``u^-1 w2 u``, with ``w2`` the
+    tower's base element and ``u = borel_to_weyl(base_borel)``; that equals
+    the base element only when the base Borel is standard.
     """
     seq = t.sequence
     n = seq.terminal_index
@@ -240,8 +240,6 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
 
     minimal = []
     letters = []
-    base_simples = simple_roots_of_borel(rd, b1)
-    node_of_base = {idx: i for i, idx in enumerate(base_simples)}
     for cur, nxt in zip(grand, grand[1:]):
         diff = cur.indices - nxt.indices
         if len(diff) != 1:
@@ -249,9 +247,12 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
         gamma = next(iter(diff))
         par = RootSubset(rd, cur.indices | {rd.negative_index(gamma)})
         minimal.append(par)
-        v = borel_to_weyl(rd, cur) * borel_to_weyl(rd, b1).inverse()
-        delta = v.inverse().perm[gamma]
-        letters.append(node_of_base[delta])
+        # the step reflects cur = x(B) in its simple root gamma = x(alpha_i);
+        # its letter is i
+        simples = simple_roots_of_borel(rd, cur)
+        if gamma not in simples:
+            raise ConsistencyError("chain step is not a simple reflection")
+        letters.append(simples.index(gamma))
     word = tuple(reversed(letters))
 
     # group the steps by the collapsed tower factor that hosts them;
@@ -285,7 +286,7 @@ def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement)
     the resolved variety is homogeneous under a parabolic subgroup."""
     p_nodes = _check_nodes(rd, p_nodes)
     b, w2 = borel_completion(rd, p_nodes, frozenset(range(rd.rank)), w)
-    p1, pp1 = max_parabolic_pair(rd, b, apply_perm(rd, w2, b))
+    p1, pp1 = max_parabolic_pair(rd, b, apply_element(w2, b))
     return contains_borel(rd, p1 & pp1) is not None
 
 
@@ -316,9 +317,9 @@ def minimal_schubert(
     already that one."""
     p_nodes = _check_nodes(rd, p_nodes)
     b, w2 = borel_completion(rd, p_nodes, frozenset(range(rd.rank)), w)
-    bp = apply_perm(rd, w2, b)
+    bp = apply_element(w2, b)
     p1, _ = max_parabolic_pair(rd, b, bp)
-    sigma1 = _sigma_std(rd, p1, b)
+    sigma1 = sigma_of(rd, p1, b)
     given = standard_parabolic_set(rd, p_nodes)
     levi_pairs = (len(p1) - rd.positive_count)
     dim = len(bp - b) - levi_pairs
@@ -328,30 +329,6 @@ def minimal_schubert(
         dim,
         w2.reduced_word(),
     )
-
-
-def _sigma_std(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
-    """Marked nodes of ``p`` relative to ``b``, in standard node labels."""
-    u = borel_to_weyl(rd, b)
-    return frozenset(
-        i
-        for i in range(rd.rank)
-        if rd.negative_index(u.perm[rd.simple_root_index(i)]) not in p.indices
-    )
-
-
-def validate_factor_enlargement(
-    rd: RootDatum, t: DesingTower, index: int, enlarged: RootSubset
-) -> bool:
-    """Check a user-supplied enlargement of one tower factor: it must be a
-    parabolic containing the factor and staying inside the total root span
-    of the tower.  The enlarged tower itself is not constructed (the
-    construction is no longer canonical)."""
-    from .parabolic import is_parabolic
-
-    factor = t.factors[index]
-    span = t.base_borel | apply_perm(rd, t.base_element, t.base_borel)
-    return is_parabolic(rd, enlarged) and factor <= enlarged and enlarged <= span
 
 
 def tower_dot(t: DesingTower) -> str:

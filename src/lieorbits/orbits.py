@@ -15,6 +15,7 @@ from typing import Iterable, Optional
 
 from .parabolic import (
     RootSubset,
+    apply_element,
     contains_borel,
     standard_parabolic_set,
     subset_of,
@@ -25,7 +26,7 @@ from .rootsys import (
     diagram_components_after_removal,
     involution_i,
 )
-from .weyl import CosetOrbit, WeylElement, double_coset_orbits
+from .weyl import WeylElement, double_coset_orbits
 
 
 class DomainRefusal(ValueError):
@@ -69,7 +70,7 @@ def orbit_dimension(
     """Dimension of the orbit attached to ``w``: the roots of ``w(p')``
     that fall outside ``p``."""
     p = standard_parabolic(rd, p_nodes)
-    moved = subset_of(rd, (w.perm[i] for i in standard_parabolic(rd, pprime_nodes).indices))
+    moved = apply_element(w, standard_parabolic(rd, pprime_nodes))
     return len(moved) - len(moved & p)
 
 
@@ -88,9 +89,7 @@ def is_dense_orbit(
     asserted to agree.
     """
     p = standard_parabolic(rd, p_nodes)
-    moved = subset_of(
-        rd, (w.perm[i] for i in standard_parabolic(rd, pprime_nodes).indices)
-    )
+    moved = apply_element(w, standard_parabolic(rd, pprime_nodes))
     dense = contains_borel(rd, p & moved.negated()) is not None
     if cross_check:
         from .weyl import longest_element
@@ -282,14 +281,15 @@ def nilradical_filtration(
     nilradical root; later layers repeat the rule in the quotient by what
     has already been removed.
     """
+    sums = rd.sum_table()
     remaining = set(nilradical_roots(rd, pprime_nodes).indices)
     layers = []
     while remaining:
         layer = {
             g
             for g in remaining
-            if all(
-                rd.sum_index(g, d) not in remaining for d in remaining
+            if not any(
+                d in remaining and k in remaining for d, k in sums[g].items()
             )
         }
         if not layer:
@@ -297,19 +297,3 @@ def nilradical_filtration(
         layers.append(subset_of(rd, layer))
         remaining -= layer
     return NilradicalFiltration(tuple(layers))
-
-
-def dense_orbit_cosets(
-    rd: RootDatum, p_nodes: Iterable[int], pprime_nodes: Iterable[int]
-) -> CosetOrbit:
-    """The coset orbit carrying the dense orbit (the longest element's)."""
-    from .weyl import longest_element
-
-    w0 = longest_element(rd)
-    return next(
-        o
-        for o in double_coset_orbits(
-            rd, weyl_generators(rd, p_nodes), weyl_generators(rd, pprime_nodes)
-        )
-        if w0 in o.members
-    )

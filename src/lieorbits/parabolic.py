@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
 from .rootsys import RootDatum
-from .weyl import WeylElement, from_word
+from .weyl import WeylElement
 
 
 class ConsistencyError(RuntimeError):
@@ -34,9 +34,10 @@ class RootSubset:
     indices: frozenset[int]
 
     def __post_init__(self):
-        bad = [i for i in self.indices if not 0 <= i < len(self.rd.roots)]
-        if bad:
-            raise ValueError(f"root indices out of range: {sorted(bad)}")
+        n = len(self.rd.roots)
+        if self.indices and (min(self.indices) < 0 or max(self.indices) >= n):
+            bad = sorted(i for i in self.indices if not 0 <= i < n)
+            raise ValueError(f"root indices out of range: {bad}")
 
     def __eq__(self, other) -> bool:
         return (
@@ -100,19 +101,20 @@ def standard_parabolic_set(rd: RootDatum, marked: Iterable[int]) -> RootSubset:
 
 
 def apply_element(w: WeylElement, s: RootSubset) -> RootSubset:
-    return RootSubset(s.rd, frozenset(w.perm[i] for i in s.indices))
+    """The image ``w(s)`` of a root subset."""
+    return RootSubset(s.rd, frozenset(map(w.perm.__getitem__, s.indices)))
 
 
 def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
     """Smallest superset closed under root addition."""
+    sums = rd.sum_table()
     out = set(indices)
     frontier = list(out)
     while frontier:
         fresh = []
         for i in frontier:
-            for j in list(out):
-                k = rd.sum_index(i, j)
-                if k is not None and k not in out:
+            for j, k in sums[i].items():
+                if j in out and k not in out:
                     out.add(k)
                     fresh.append(k)
         frontier = fresh
@@ -121,10 +123,11 @@ def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
 
 def closed_violation(rd: RootDatum, s: RootSubset) -> Optional[tuple[int, int, int]]:
     """A witness (i, j, i+j) that the subset is not closed, if any."""
-    for i in s.indices:
-        for j in s.indices:
-            k = rd.sum_index(i, j)
-            if k is not None and k not in s.indices:
+    sums = rd.sum_table()
+    members = s.indices
+    for i in members:
+        for j, k in sums[i].items():
+            if j in members and k not in members:
                 return (i, j, k)
     return None
 
@@ -142,12 +145,12 @@ def is_covering(rd: RootDatum, s: RootSubset) -> bool:
 
 
 def is_borel(rd: RootDatum, s: RootSubset) -> bool:
-    if len(s) != rd.positive_count:
+    n = rd.positive_count
+    if len(s) != n:
         return False
-    one_per_pair = all(
-        (p in s.indices) != (rd.negative_index(p) in s.indices)
-        for p in range(rd.positive_count)
-    )
+    # root p and its negative p + n share the residue p mod n, so n roots
+    # meet every opposite pair once exactly when their residues are distinct
+    one_per_pair = len({i % n for i in s.indices}) == n
     return one_per_pair and is_closed(rd, s)
 
 
@@ -160,25 +163,23 @@ def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
     if not is_borel(rd, b):
         raise ValueError("not a Borel root set")
     perms = rd.reflection_perms()
+    neg_simples = [rd.negative_index(rd.simple_root_index(i)) for i in range(rd.rank)]
     cur = set(b.indices)
-    letters = []
+    # reflecting in s_{l_1}, s_{l_2}, ... walks b down to the standard Borel,
+    # so the element is s_{l_1} s_{l_2} ..., one letter per negative root of b
+    perm = tuple(range(len(rd.roots)))
+    length = 0
     for _ in range(rd.positive_count + 1):
-        i = next(
-            (
-                i
-                for i in range(rd.rank)
-                if rd.negative_index(rd.simple_root_index(i)) in cur
-            ),
-            None,
-        )
+        i = next((i for i, r in enumerate(neg_simples) if r in cur), None)
         if i is None:
             break
-        letters.append(i)
         s = perms[i]
-        cur = {s[r] for r in cur}
+        cur = set(map(s.__getitem__, cur))
+        perm = tuple(map(perm.__getitem__, s))
+        length += 1
     else:
         raise ConsistencyError("Borel did not normalise", borel=b.coords())
-    return from_word(rd, letters)
+    return WeylElement(rd, perm, length)
 
 
 def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
@@ -497,11 +498,11 @@ def sum_absorption_holds(rd: RootDatum, p: RootSubset) -> bool:
     the inside summand must be one-sided (its negative not in ``p``)."""
     if not is_parabolic(rd, p):
         raise ValueError("argument is not a parabolic root set")
-    outside = [i for i in range(len(rd.roots)) if i not in p.indices]
-    for a in p.indices:
-        for o in outside:
-            k = rd.sum_index(a, o)
-            if k is not None and k in p.indices:
-                if rd.negative_index(a) in p.indices:
+    sums = rd.sum_table()
+    members = p.indices
+    for a in members:
+        if rd.negative_index(a) in members:
+            for o, k in sums[a].items():
+                if o not in members and k in members:
                     return False
     return True

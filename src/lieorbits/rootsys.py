@@ -10,8 +10,9 @@ library; only the CLI speaks 1-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import permutations
+from operator import mul
 from typing import Iterable, Optional, Sequence
 
 #: admissible ranks per type: (minimum, maximum or None for unbounded)
@@ -43,7 +44,7 @@ class Root:
     def is_positive(self) -> bool:
         return any(c > 0 for c in self.coords)
 
-    @property
+    @cached_property
     def support(self) -> frozenset[int]:
         return frozenset(i for i, c in enumerate(self.coords) if c != 0)
 
@@ -115,9 +116,8 @@ def generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     while frontier:
         fresh = []
         for c in frontier:
-            for i in range(rank):
-                p = sum(cartan[i][k] * c[k] for k in range(rank))
-                r = tuple(c[k] - (p if k == i else 0) for k in range(rank))
+            for i, row in enumerate(cartan):
+                r = c[:i] + (c[i] - sum(map(mul, row, c)),) + c[i + 1 :]
                 if r not in seen:
                     seen.add(r)
                     fresh.append(r)
@@ -138,8 +138,9 @@ class RootDatum:
     """All roots of one simple type, with pairings and lookup tables.
 
     Immutable after construction; instances compare by identity and may be
-    shared freely.  The only mutable state is a private Bruhat-order memo
-    used by :mod:`lieorbits.weyl`, which is safe under CPython's GIL for the
+    shared freely.  The only mutable state is the lazily built reflection
+    and sum tables and a private Bruhat-order memo used by
+    :mod:`lieorbits.weyl`, which are safe under CPython's GIL for the
     single-writer uses in this library.
     """
 
@@ -155,6 +156,7 @@ class RootDatum:
             for i in range(rank)
         }
         self._reflections: Optional[tuple[tuple[int, ...], ...]] = None
+        self._sums: Optional[tuple[dict[int, int], ...]] = None
         self._bruhat_memo: dict = {}
 
     def __repr__(self) -> str:
@@ -188,20 +190,55 @@ class RootDatum:
 
     def sum_index(self, i: int, j: int) -> Optional[int]:
         """Index of ``roots[i] + roots[j]`` when that sum is a root."""
-        a, b = self.roots[i].coords, self.roots[j].coords
-        return self.root_index.get(tuple(x + y for x, y in zip(a, b)))
+        return self.sum_table()[i].get(j)
+
+    def sum_table(self) -> tuple[dict[int, int], ...]:
+        """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
+        ``roots[k]``; built on first use.
+
+        Only the simple-root rows are computed from coordinates.  Every other
+        row is carried along a simple reflection ``s`` from a known one, since
+        ``s(a) + s(b) = s(a + b)``, and every root is conjugate to a simple one.
+        """
+        if self._sums is None:
+            rows: list[Optional[dict[int, int]]] = [None] * len(self.roots)
+            frontier = []
+            for i in range(self.rank):
+                r = self._simple_index[i]
+                a = self.roots[r].coords
+                row = {}
+                for j, root in enumerate(self.roots):
+                    k = self.root_index.get(tuple(x + y for x, y in zip(a, root.coords)))
+                    if k is not None:
+                        row[j] = k
+                rows[r] = row
+                frontier.append(r)
+            perms = self.reflection_perms()
+            while frontier:
+                fresh = []
+                for r in frontier:
+                    row = rows[r]
+                    for s in perms:
+                        if rows[s[r]] is None:
+                            rows[s[r]] = {s[j]: s[k] for j, k in row.items()}
+                            fresh.append(s[r])
+                frontier = fresh
+            if any(row is None for row in rows):
+                raise AssertionError("some root is not conjugate to a simple root")
+            self._sums = tuple(rows)
+        return self._sums
 
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
         """Permutation of the root list induced by each simple reflection."""
         if self._reflections is None:
             perms = []
             for i in range(self.rank):
+                row = self.cartan[i]
                 perm = []
                 for r in self.roots:
-                    p = self.pairing(r.coords, i)
-                    img = tuple(
-                        c - (p if k == i else 0) for k, c in enumerate(r.coords)
-                    )
+                    c = r.coords
+                    # s_i only changes coordinate i, by the pairing with alpha_i
+                    img = c[:i] + (c[i] - sum(map(mul, row, c)),) + c[i + 1 :]
                     perm.append(self.root_index[img])
                 perms.append(tuple(perm))
             self._reflections = tuple(perms)

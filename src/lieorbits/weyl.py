@@ -1,7 +1,7 @@
 """Weyl group elements acting on the root list, Bruhat order, double cosets.
 
-An element's canonical form is the permutation it induces on the ambient
-root list; words are kept only as provenance and need not be reduced.
+An element is the permutation it induces on the ambient root list; words
+are recovered from the permutation on demand.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ class WeylElement:
     """A Weyl group element; equality and hashing go through ``perm``."""
 
     rd: RootDatum
-    word: tuple[int, ...]
     perm: tuple[int, ...]
     length: int = field(default=-1)
 
@@ -55,14 +54,13 @@ class WeylElement:
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rd is not other.rd:
             raise ValueError("elements of different root systems")
-        perm = tuple(self.perm[other.perm[r]] for r in range(len(self.perm)))
-        return WeylElement(self.rd, self.word + other.word, perm)
+        return WeylElement(self.rd, tuple(map(self.perm.__getitem__, other.perm)))
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for r, img in enumerate(self.perm):
             inv[img] = r
-        return WeylElement(self.rd, tuple(reversed(self.word)), tuple(inv))
+        return WeylElement(self.rd, tuple(inv), self.length)
 
     def act_index(self, idx: int) -> int:
         return self.perm[idx]
@@ -91,13 +89,13 @@ class WeylElement:
 
 
 def identity(rd: RootDatum) -> WeylElement:
-    return WeylElement(rd, (), tuple(range(len(rd.roots))), 0)
+    return WeylElement(rd, tuple(range(len(rd.roots))), 0)
 
 
 def simple_reflection(rd: RootDatum, i: int) -> WeylElement:
     if not 0 <= i < rd.rank:
         raise ValueError(f"node index {i} out of range 0..{rd.rank - 1}")
-    return WeylElement(rd, (i,), rd.reflection_perms()[i], 1)
+    return WeylElement(rd, rd.reflection_perms()[i], 1)
 
 
 def from_word(rd: RootDatum, word: Sequence[int]) -> WeylElement:
@@ -115,8 +113,7 @@ def act_on_root(w: WeylElement, gamma: Root) -> Root:
 
 def longest_element(rd: RootDatum) -> WeylElement:
     """The unique element sending every positive root to a negative one."""
-    w = WeylElement(rd, (), longest_element_perm(rd))
-    w = WeylElement(rd, w.reduced_word(), w.perm, w.length)
+    w = WeylElement(rd, longest_element_perm(rd))
     if w.length != rd.positive_count:
         raise AssertionError("longest element has wrong length")
     return w

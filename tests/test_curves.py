@@ -115,6 +115,14 @@ def test_hilbert_dimension_refuses_outside_cone():
         hilbert_dimension(rd, {0}, curve_class({0}, [-1]))
 
 
+def test_hilbert_dimension_refuses_a_point():
+    # P = G: G/P is a point, so no curve family has a dimension
+    for key in [("A", 1), ("A", 3), ("G", 2), ("E", 6)]:
+        rd = build_root_system(*key)
+        with pytest.raises(DomainRefusal, match="point"):
+            hilbert_dimension(rd, frozenset(), curve_class(frozenset(), []))
+
+
 def test_p1_fibration_fixtures():
     a2 = build_root_system("A", 2)
     assert [f.node for f in p1_fibration_candidates(a2, {0, 1})] == [0, 1]
@@ -233,6 +241,15 @@ def test_decide_zero_class_and_outside():
     assert v.mor_nonempty and not v.smooth_curve_exists and v.reduction == ()
     v = decide_smooth_rational_curve(rd, full, curve_class(full, [1, -1]))
     assert not v.mor_nonempty and not v.smooth_curve_exists
+
+
+def test_decide_point_has_no_smooth_curve():
+    # P = G: constant maps exist, embedded curves do not
+    for key in [("A", 1), ("A", 3), ("B", 3), ("G", 2)]:
+        rd = build_root_system(*key)
+        v = decide_smooth_rational_curve(rd, frozenset(), curve_class(frozenset(), []))
+        assert v.mor_nonempty and not v.smooth_curve_exists
+        assert v.exception_hit is None and v.reduction is None
 
 
 def test_decide_smooth_implies_nonempty_and_monotone():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from itertools import combinations
 
 import pytest
@@ -9,8 +10,10 @@ import pytest
 from lieorbits.parabolic import (
     ConsistencyError,
     RootSubset,
+    apply_element,
     borel_chain,
     borel_to_weyl,
+    closed_violation,
     closure,
     contains_borel,
     is_borel,
@@ -28,7 +31,7 @@ from lieorbits.parabolic import (
     sum_absorption_holds,
 )
 from lieorbits.rootsys import Root, build_root_system
-from lieorbits.weyl import from_word, weyl_group
+from lieorbits.weyl import from_word, identity, weyl_group
 
 
 def coords_set(rd, s):
@@ -37,6 +40,38 @@ def coords_set(rd, s):
 
 def borel_from_element(rd, w):
     return subset_of(rd, (w.perm[i] for i in range(rd.positive_count)))
+
+
+def coordinate_sum(rd, i, j):
+    a, b = rd.roots[i].coords, rd.roots[j].coords
+    return rd.root_index.get(tuple(x + y for x, y in zip(a, b)))
+
+
+def brute_violations(rd, members):
+    """Every (i, j, i+j) with i, j in the set and the sum a missing root."""
+    return {
+        (i, j, k)
+        for i in members
+        for j in members
+        if (k := coordinate_sum(rd, i, j)) is not None and k not in members
+    }
+
+
+def brute_closure(rd, members):
+    out = set(members)
+    while True:
+        grown = out | {k for _, _, k in brute_violations(rd, out)}
+        if grown == out:
+            return frozenset(out)
+        out = grown
+
+
+def brute_is_borel(rd, members):
+    n = rd.positive_count
+    return (
+        all((p in members) != (p + n in members) for p in range(n))
+        and not brute_violations(rd, members)
+    )
 
 
 def all_borels(rd):
@@ -313,3 +348,55 @@ def test_rootsubset_validates_indices():
     rd = build_root_system("A", 2)
     with pytest.raises(ValueError):
         subset_of(rd, {99})
+
+
+RANDOM_SET_KEYS = [("A", 3), ("A", 5), ("B", 4), ("C", 3), ("D", 5), ("E", 6), ("F", 4), ("G", 2)]
+
+
+@pytest.mark.parametrize("key", RANDOM_SET_KEYS, ids=lambda key: f"{key[0]}{key[1]}")
+def test_closure_tests_match_pairwise_reference(key):
+    rd = build_root_system(*key)
+    rng = random.Random(f"closure {key}")
+    n = len(rd.roots)
+    samples = []
+    for _ in range(15):
+        samples.append(frozenset(rng.sample(range(n), rng.randrange(n // 2 + 1))))
+        # one root of each pair: sometimes a Borel, mostly not
+        samples.append(frozenset(p + rd.positive_count * rng.randrange(2) for p in range(rd.positive_count)))
+        w = from_word(rd, [rng.randrange(rd.rank) for _ in range(rng.randrange(2 * rd.rank))])
+        borel = apply_element(w, standard_borel(rd))
+        samples.append(borel.indices)
+        samples.append(borel.indices - {rng.choice(sorted(borel.indices))})
+        # a Levi subsystem: closed, holding both signs of its roots
+        nodes = set(rng.sample(range(rd.rank), rng.randrange(rd.rank + 1)))
+        samples.append(frozenset(i for i, r in enumerate(rd.roots) if r.support <= nodes))
+    for members in samples:
+        s = subset_of(rd, members)
+        bad = brute_violations(rd, members)
+        witness = closed_violation(rd, s)
+        assert (witness is None) == (not bad)
+        if witness is not None:
+            assert witness in bad
+        assert is_borel(rd, s) == brute_is_borel(rd, members)
+        assert closure(rd, members) == brute_closure(rd, members)
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 4), ("B", 3), ("D", 5), ("E", 6), ("F", 4), ("G", 2)], ids=lambda key: f"{key[0]}{key[1]}"
+)
+def test_borel_to_weyl_recovers_random_words(key):
+    rd = build_root_system(*key)
+    rng = random.Random(f"walk {key}")
+    for _ in range(30):
+        w = from_word(rd, [rng.randrange(rd.rank) for _ in range(rng.randrange(3 * rd.rank))])
+        u = borel_to_weyl(rd, apply_element(w, standard_borel(rd)))
+        assert u == w and u.length == w.length
+        assert u * u.inverse() == identity(rd)
+
+
+def test_is_borel_rejects_closed_sets_of_borel_size_with_both_signs():
+    # the A2 Levi subsystem of A3 is closed and has |Phi+(A3)| = 6 roots
+    rd = build_root_system("A", 3)
+    levi = subset_of(rd, (i for i, r in enumerate(rd.roots) if r.support <= {0, 1}))
+    assert len(levi) == rd.positive_count and closed_violation(rd, levi) is None
+    assert not is_borel(rd, levi)

@@ -123,6 +123,37 @@ def test_root_sum_commutes_and_respects_negation():
                     assert neg == -ab
 
 
+SUM_TABLE_KEYS = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(2, 6)]
+    + [("C", n) for n in range(2, 6)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("key", SUM_TABLE_KEYS, ids=lambda key: f"{key[0]}{key[1]}")
+def test_sum_table_matches_coordinate_addition(key):
+    rd = build_root_system(*key)
+    table = rd.sum_table()
+    assert len(table) == len(rd.roots)
+    for i, a in enumerate(rd.roots):
+        want = {}
+        for j, b in enumerate(rd.roots):
+            k = rd.root_index.get(tuple(x + y for x, y in zip(a.coords, b.coords)))
+            if k is not None:
+                want[j] = k
+        assert table[i] == want
+        assert all(rd.sum_index(i, j) == want.get(j) for j in range(len(rd.roots)))
+
+
+def test_sum_table_is_built_lazily_once():
+    rd = build_root_system.__wrapped__("B", 3)  # a fresh datum, bypassing the cache
+    assert rd._sums is None
+    table = rd.sum_table()
+    assert rd.sum_table() is table
+
+
 def test_positive_roots_reachable_by_simple_additions():
     # saturation: every positive root ends a chain of simple-root additions
     for key in [("A", 3), ("A", 4), ("B", 4), ("C", 4), ("D", 4), ("F", 4), ("G", 2)]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
 from lieorbits.rootsys import Root, RootDatum, build_root_system, cartan_matrix, generate_roots
@@ -28,6 +30,18 @@ def one_line(rd, w):
     for i in reversed(w.reduced_word()):
         perm[i], perm[i + 1] = perm[i + 1], perm[i]
     return tuple(perm)
+
+
+def reference_element(rd, word):
+    """Root permutation and length of a word, by explicit composition and a
+    count of the positive roots sent negative."""
+    perms = rd.reflection_perms()
+    n = len(rd.roots)
+    perm = list(range(n))
+    for i in word:
+        perm = [perm[perms[i][r]] for r in range(n)]
+    length = sum(1 for p in range(rd.positive_count) if perm[p] >= rd.positive_count)
+    return tuple(perm), length
 
 
 def inversions(seq):
@@ -222,3 +236,22 @@ def test_mixed_datum_operations_rejected():
         identity(a2) * identity(c2)
     with pytest.raises(ValueError):
         bruhat_leq(identity(a2), identity(c2))
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 4), ("B", 3), ("D", 5), ("E", 6), ("F", 4), ("G", 2)], ids=lambda key: f"{key[0]}{key[1]}"
+)
+def test_element_arithmetic_matches_explicit_composition(key):
+    rd = build_root_system(*key)
+    rng = random.Random(f"{key}")
+    for _ in range(25):
+        a = [rng.randrange(rd.rank) for _ in range(rng.randrange(12))]
+        b = [rng.randrange(rd.rank) for _ in range(rng.randrange(12))]
+        u, v = from_word(rd, a), from_word(rd, b)
+        assert (u.perm, u.length) == reference_element(rd, a)
+        uv = u * v
+        assert (uv.perm, uv.length) == reference_element(rd, a + b)
+        inv = u.inverse()
+        assert (inv.perm, inv.length) == reference_element(rd, a[::-1])
+        assert inv * u == identity(rd) and (inv * u).length == 0
+        assert u.length <= len(a) and (len(a) - u.length) % 2 == 0
