@@ -1,0 +1,84 @@
+"""Golden transcripts of the ``lie`` commands outside the tower pipeline:
+``root-system``, ``orbits``, ``codim``, ``levi``, ``nilradical``, ``curves``
+and ``hilbert``, in every format, with their refusals and parse errors.
+
+Regenerate the golden file from a trusted tree with
+``PYTHONPATH=src python tests/test_cli.py``; the tests only read it.
+"""
+
+from __future__ import annotations
+
+from transcripts import GOLDEN_DIR, check_golden, write_golden
+
+GOLDEN = GOLDEN_DIR / "cli_commands.json"
+
+# (type, rank): node sets in CLI syntax; "" marks no node, so P = G
+MARKS = {
+    ("A", 3): ["", "1", "2,3", "1,2,3"],
+    ("B", 3): ["", "1", "3", "1,2,3"],
+    ("G", 2): ["", "1", "2", "1,2"],
+    ("D", 4): ["", "2", "1,3,4", "1,2,3,4"],
+    ("A", 1): ["", "1"],
+    ("D", 3): ["", "1", "2,3"],  # normalised to A3
+}
+PAIRED = ("orbits", "codim", "levi")
+REFUSE_DOT = PAIRED + ("nilradical", "curves", "hilbert")
+
+
+def degree_vectors(k):
+    """Strict, boundary, outside and wrong-length degree vectors for k marks."""
+    if k == 0:
+        return ["", "1"]
+    rest = ["1"] * (k - 1)
+    # a leading "-1," would read as an option, so the negative entry goes last
+    vectors = (["1"] + rest, ["0"] + rest, ["2"] + rest, rest + ["-1"], ["1"] * (k + 1))
+    return [",".join(v) for v in vectors]
+
+
+def cli_argvs():
+    for (lie_type, rank), marks in MARKS.items():
+        group = ["--type", lie_type, "--rank", str(rank)]
+        for fmt in ("text", "json", "dot"):
+            yield ["root-system", *group, "--format", fmt]
+        for p in marks:
+            with_p = [*group, "--p", p]
+            for command in PAIRED:
+                for pp in marks:
+                    for fmt in ("text", "json"):
+                        yield [command, *with_p, "--pprime", pp, "--format", fmt]
+            k = len(p.split(",")) if p else 0
+            for command in ("curves", "hilbert"):
+                for degrees in degree_vectors(k):
+                    for fmt in ("text", "json"):
+                        yield [command, *with_p, "--degrees", degrees, "--format", fmt]
+        for pp in marks:
+            for fmt in ("text", "json"):
+                yield ["nilradical", *group, "--pprime", pp, "--format", fmt]
+    a3 = ["--type", "A", "--rank", "3"]
+    for command in REFUSE_DOT:
+        yield [command, *a3, "--p", "1", "--pprime", "2", "--degrees", "1", "--format", "dot"]
+    yield []
+    yield ["root-system", "--type", "H", "--rank", "3"]
+    yield ["root-system", "--type", "E", "--rank", "5"]
+    yield ["orbits", *a3, "--pprime", "1"]
+    yield ["orbits", *a3, "--p", "1"]
+    yield ["codim", *a3, "--p", "1"]
+    yield ["levi", *a3]
+    yield ["nilradical", *a3]
+    yield ["curves", *a3, "--p", "1"]
+    yield ["hilbert", *a3, "--degrees", "1"]
+    yield ["orbits", *a3, "--p", "0", "--pprime", "1"]
+    yield ["orbits", *a3, "--p", "1", "--pprime", "4"]
+    yield ["levi", *a3, "--p", "x", "--pprime", "1"]
+    yield ["nilradical", *a3, "--pprime", "0"]
+    yield ["curves", *a3, "--p", "4", "--degrees", "1"]
+    yield ["curves", *a3, "--p", "1", "--degrees", "1,x"]
+    yield ["hilbert", *a3, "--p", "1", "--degrees", "one"]
+
+
+def test_command_transcripts_match_golden_bytes():
+    check_golden(GOLDEN, cli_argvs())
+
+
+if __name__ == "__main__":
+    write_golden(GOLDEN, cli_argvs())

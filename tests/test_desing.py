@@ -7,15 +7,11 @@ Regenerate the golden file from a trusted tree with
 
 from __future__ import annotations
 
-import contextlib
-import io
-import json
 from itertools import combinations, permutations
-from pathlib import Path
 
 import pytest
+from transcripts import GOLDEN_DIR, check_golden, write_golden
 
-from lieorbits import cli
 from lieorbits.desing import (
     build_tower,
     demazure_refinement,
@@ -26,7 +22,7 @@ from lieorbits.parabolic import borel_to_weyl
 from lieorbits.rootsys import build_root_system
 from lieorbits.weyl import from_word, permutation_to_word, simple_reflection, weyl_group
 
-GOLDEN = Path(__file__).parent / "golden" / "desing_cli.json"
+GOLDEN = GOLDEN_DIR / "desing_cli.json"
 SMALL = [("A", 2), ("A", 3), ("B", 3), ("G", 2)]
 
 # (type, rank): words in CLI syntax, --p values (None leaves P = B)
@@ -126,20 +122,9 @@ def cli_argvs():
                         yield argv + ["--format", fmt]
 
 
-def transcript(argv):
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
-    return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
-
-
 def test_cli_transcripts_match_golden_bytes():
-    golden = json.loads(GOLDEN.read_text())
-    assert [g["argv"] for g in golden] == list(cli_argvs())
-    for want in golden:
-        assert transcript(want["argv"]) == want, " ".join(want["argv"])
+    check_golden(GOLDEN, cli_argvs())
 
 
 if __name__ == "__main__":
-    GOLDEN.parent.mkdir(exist_ok=True)
-    GOLDEN.write_text(json.dumps([transcript(a) for a in cli_argvs()], indent=1) + "\n")
+    write_golden(GOLDEN, cli_argvs())
