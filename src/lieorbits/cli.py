@@ -2,8 +2,10 @@
 dispatch to the library, and emit text, JSON or DOT.
 
 Node indices are 1-based on the command line and 0-based inside the
-library; the conversion happens exactly here.  Exit codes: 0 success,
-1 parse error, 2 domain refusal.
+library; the conversion happens exactly here.  Exit codes: 0 success;
+1 for a parse error, a ``ValueError`` from the library (such as the Weyl
+group size cap, or a degree vector whose length does not match the marks
+of P) or a ``ConsistencyError``; 2 for a domain refusal.
 """
 
 from __future__ import annotations
@@ -12,23 +14,9 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence, TextIO
 
 from . import curves, desing, orbits, parabolic, rootsys, weyl
-
-COMMANDS = (
-    "root-system",
-    "orbits",
-    "codim",
-    "levi",
-    "nilradical",
-    "curves",
-    "hilbert",
-    "desing",
-    "refine",
-    "smooth",
-    "minimal",
-)
 
 
 class ParseExit(Exception):
@@ -105,21 +93,8 @@ def _parse_degrees(raw: str) -> tuple[int, ...]:
 def build_parser() -> Parser:
     parser = Parser(prog="lie", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
-    specs = {
-        "root-system": "roots, Cartan matrix and Dynkin diagram of a simple type",
-        "orbits": "orbit table of a marked parabolic pair acting on G/P",
-        "codim": "diagram test: dense-orbit complement has codimension >= 2",
-        "levi": "reductive quotient of the dense orbit as marked components",
-        "nilradical": "ascending central filtration of a marked nilradical",
-        "curves": "smooth rational curve existence for a degree vector",
-        "hilbert": "dimension of the smooth-curve family for a degree vector",
-        "desing": "parabolic factor tower resolving a Schubert variety",
-        "refine": "one-reflection-per-step refinement of the tower",
-        "smooth": "sufficient homogeneity/smoothness test for a Schubert variety",
-        "minimal": "largest parabolic quotient the Schubert variety fibres over",
-    }
-    for name in COMMANDS:
-        p = sub.add_parser(name, help=specs[name])
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
         p.add_argument("--type", required=True, choices=list("ABCDEFG"), dest="lie_type")
         p.add_argument("--rank", required=True, type=int)
         p.add_argument("--p", default=None, help="marked nodes of P, e.g. '1,3'")
@@ -139,28 +114,14 @@ def build_parser() -> Parser:
     return parser
 
 
-_REQUIRED = {
-    "orbits": ("p", "pprime"),
-    "codim": ("p", "pprime"),
-    "levi": ("p", "pprime"),
-    "nilradical": ("pprime",),
-    "curves": ("p", "degrees"),
-    "hilbert": ("p", "degrees"),
-    "desing": ("word",),
-    "refine": ("word",),
-    "smooth": ("word",),
-    "minimal": ("word",),
-}
-
-
 def parse_query(argv: Sequence[str]) -> Query:
     ns = build_parser().parse_args(argv)
     if ns.command is None:
         raise ParseExit("error: a command is required (see --help)")
     rootsys.validate_type(ns.lie_type, ns.rank)
-    for field in _REQUIRED.get(ns.command, ()):
-        if getattr(ns, "pprime" if field == "pprime" else field) is None:
-            raise ParseExit(f"error: --{field} is required for {ns.command}")
+    for flag in COMMANDS[ns.command].required:
+        if getattr(ns, flag) is None:
+            raise ParseExit(f"error: --{flag} is required for {ns.command}")
     p_nodes = _parse_nodes(ns.p, ns.rank, "--p") if ns.p is not None else None
     pp_nodes = (
         _parse_nodes(ns.pprime, ns.rank, "--pprime") if ns.pprime is not None else None
@@ -176,156 +137,212 @@ def _nodes_1based(nodes) -> list[int]:
     return sorted(i + 1 for i in nodes)
 
 
-def run_query(q: Query, out) -> int:
-    """Execute a query, writing deterministic bytes to ``out``."""
-    rd = rootsys.build_root_system(q.lie_type, q.rank)
-    all_nodes = frozenset(range(rd.rank))
-    p_nodes = q.p_nodes if q.p_nodes is not None else all_nodes
+def _emit_json(out: TextIO, payload) -> None:
+    out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
-    def emit_json(payload) -> int:
-        out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-        return 0
 
-    try:
-        if q.command == "root-system":
-            if q.fmt == "dot":
-                out.write(rootsys.dynkin_dot(rd))
-                return 0
-            payload = {
+def _root_system(rd, q: Query, p_nodes, out: TextIO) -> None:
+    if q.fmt == "dot":
+        out.write(rootsys.dynkin_dot(rd))
+    elif q.fmt == "json":
+        _emit_json(
+            out,
+            {
                 "type": rd.lie_type,
                 "rank": rd.rank,
                 "cartan": [list(row) for row in rd.cartan],
                 "positive_count": rd.positive_count,
                 "roots": [list(r.coords) for r in rd.roots],
-            }
-            if q.fmt == "json":
-                return emit_json(payload)
-            out.write(f"{rd.lie_type}{rd.rank}: {len(rd.roots)} roots, ")
-            out.write(f"{rd.positive_count} positive\n")
-            out.write("cartan:\n")
-            for row in rd.cartan:
-                out.write("  " + " ".join(f"{v:2d}" for v in row) + "\n")
-            return 0
+            },
+        )
+    else:
+        out.write(f"{rd.lie_type}{rd.rank}: {len(rd.roots)} roots, ")
+        out.write(f"{rd.positive_count} positive\n")
+        out.write("cartan:\n")
+        for row in rd.cartan:
+            out.write("  " + " ".join(f"{v:2d}" for v in row) + "\n")
 
-        if q.fmt == "dot" and q.command != "desing":
-            raise ParseExit(f"error: --format dot is not supported for {q.command}")
 
-        if q.command == "orbits":
-            table = orbits.orbit_table(rd, p_nodes, q.pprime_nodes)
-            payload = [o.to_json() for o in table]
-            if q.fmt == "json":
-                return emit_json(payload)
-            total = orbits.quotient_dimension(rd, p_nodes)
-            out.write(f"dim G/P = {total}; {len(table)} orbits\n")
-            for o in table:
-                word = " ".join(str(i) for i in o.to_json()["representative_word"]) or "e"
-                star = " (dense)" if o.dense else ""
-                out.write(f"  dim {o.dimension}  size {o.size}  rep [{word}]{star}\n")
-            return 0
+def _orbits(rd, q: Query, p_nodes, out: TextIO) -> None:
+    table = orbits.orbit_table(rd, p_nodes, q.pprime_nodes)
+    if q.fmt == "json":
+        return _emit_json(out, [o.to_json() for o in table])
+    total = orbits.quotient_dimension(rd, p_nodes)
+    out.write(f"dim G/P = {total}; {len(table)} orbits\n")
+    for o in table:
+        word = " ".join(str(i) for i in o.to_json()["representative_word"]) or "e"
+        star = " (dense)" if o.dense else ""
+        out.write(f"  dim {o.dimension}  size {o.size}  rep [{word}]{star}\n")
 
-        if q.command == "codim":
-            verdict = orbits.complement_codim_ge2(rd, p_nodes, q.pprime_nodes)
-            if q.fmt == "json":
-                return emit_json(
-                    {
-                        "codim_ge2": verdict,
-                        "p": _nodes_1based(p_nodes),
-                        "pprime": _nodes_1based(q.pprime_nodes),
-                    }
-                )
-            out.write("true\n" if verdict else "false\n")
-            return 0
 
-        if q.command == "levi":
-            lq = orbits.levi_quotient(rd, p_nodes, q.pprime_nodes)
-            if q.fmt == "json":
-                return emit_json(lq.to_json())
-            for f in lq.factors:
-                marked = f.to_json()["marked_std"]
-                out.write(
-                    f"  {f.component.lie_type}{f.component.rank} on nodes "
-                    f"{f.to_json()['nodes']} marked {marked}\n"
-                )
-            out.write(f"  torus rank {lq.torus_rank}\n")
-            return 0
+def _codim(rd, q: Query, p_nodes, out: TextIO) -> None:
+    verdict = orbits.complement_codim_ge2(rd, p_nodes, q.pprime_nodes)
+    if q.fmt == "json":
+        return _emit_json(
+            out,
+            {
+                "codim_ge2": verdict,
+                "p": _nodes_1based(p_nodes),
+                "pprime": _nodes_1based(q.pprime_nodes),
+            },
+        )
+    out.write("true\n" if verdict else "false\n")
 
-        if q.command == "nilradical":
-            nf = orbits.nilradical_filtration(rd, q.pprime_nodes)
-            if q.fmt == "json":
-                return emit_json(nf.to_json())
-            if not nf.layers:
-                out.write("empty nilradical\n")
-                return 0
-            for i, layer in enumerate(nf.layers, start=1):
-                out.write(f"  layer {i}: {layer.coords()}\n")
-            out.write("  abelian\n" if nf.is_abelian else "")
-            return 0
 
-        if q.command in ("curves", "hilbert"):
-            c = curves.curve_class(p_nodes, q.degrees)
-            if q.command == "curves":
-                verdict = curves.decide_smooth_rational_curve(rd, p_nodes, c)
-                if q.fmt == "json":
-                    return emit_json(verdict.to_json())
-                out.write(
-                    f"mor_nonempty: {str(verdict.mor_nonempty).lower()}\n"
-                    f"smooth: {str(verdict.smooth_curve_exists).lower()}\n"
-                )
-                if verdict.exception_hit:
-                    out.write(f"exception: {verdict.exception_hit}\n")
-                return 0
-            dim = curves.hilbert_dimension(rd, p_nodes, c)
-            boundary = curves.positivity(c) == "positive"
-            if q.fmt == "json":
-                return emit_json({"dimension": dim, "boundary": boundary})
-            out.write(f"{dim}\n")
-            return 0
+def _levi(rd, q: Query, p_nodes, out: TextIO) -> None:
+    lq = orbits.levi_quotient(rd, p_nodes, q.pprime_nodes)
+    if q.fmt == "json":
+        return _emit_json(out, lq.to_json())
+    for f in lq.factors:
+        marked = f.to_json()["marked_std"]
+        out.write(
+            f"  {f.component.lie_type}{f.component.rank} on nodes "
+            f"{f.to_json()['nodes']} marked {marked}\n"
+        )
+    out.write(f"  torus rank {lq.torus_rank}\n")
 
-        w = weyl.from_word(rd, q.word)
-        if q.command == "desing":
-            t = desing.build_tower(rd, p_nodes, w)
-            if q.fmt == "dot":
-                out.write(desing.tower_dot(t))
-                return 0
-            if q.fmt == "json":
-                return emit_json(t.to_json())
-            dims = [len(f) for f in t.factors]
-            out.write(
-                f"{len(t.factors)} factor(s), root-set sizes {dims}, "
-                f"dimension {desing.tower_dimension(t)}\n"
-            )
-            return 0
-        if q.command == "refine":
-            t = desing.build_tower(rd, p_nodes, w)
-            chain = desing.demazure_refinement(rd, t)
-            if q.fmt == "json":
-                return emit_json(chain.to_json())
-            word = " ".join(str(i + 1) for i in chain.word) or "e"
-            out.write(f"word [{word}], {len(chain.minimal_factors)} minimal factor(s)\n")
-            return 0
-        if q.command == "smooth":
-            verdict = desing.smoothness_sufficient(rd, p_nodes, w)
-            if q.fmt == "json":
-                return emit_json({"smooth_sufficient": verdict})
-            out.write("true\n" if verdict else "false\n")
-            return 0
-        if q.command == "minimal":
-            model = desing.minimal_schubert(rd, p_nodes, w)
-            if q.fmt == "json":
-                return emit_json(model.to_json())
-            out.write(
-                f"is_minimal: {str(model.is_minimal).lower()}\n"
-                f"p1_nodes: {model.to_json()['p1_nodes']}\n"
-                f"minimal_model_dimension: {model.dimension}\n"
-            )
-            return 0
-        raise AssertionError(f"unhandled command {q.command}")
+
+def _nilradical(rd, q: Query, p_nodes, out: TextIO) -> None:
+    nf = orbits.nilradical_filtration(rd, q.pprime_nodes)
+    if q.fmt == "json":
+        return _emit_json(out, nf.to_json())
+    if not nf.layers:
+        out.write("empty nilradical\n")
+        return
+    for i, layer in enumerate(nf.layers, start=1):
+        out.write(f"  layer {i}: {layer.coords()}\n")
+    out.write("  abelian\n" if nf.is_abelian else "")
+
+
+def _curves(rd, q: Query, p_nodes, out: TextIO) -> None:
+    c = curves.curve_class(p_nodes, q.degrees)
+    verdict = curves.decide_smooth_rational_curve(rd, p_nodes, c)
+    if q.fmt == "json":
+        return _emit_json(out, verdict.to_json())
+    out.write(
+        f"mor_nonempty: {str(verdict.mor_nonempty).lower()}\n"
+        f"smooth: {str(verdict.smooth_curve_exists).lower()}\n"
+    )
+    if verdict.exception_hit:
+        out.write(f"exception: {verdict.exception_hit}\n")
+
+
+def _hilbert(rd, q: Query, p_nodes, out: TextIO) -> None:
+    c = curves.curve_class(p_nodes, q.degrees)
+    dim = curves.hilbert_dimension(rd, p_nodes, c)
+    if q.fmt == "json":
+        boundary = curves.positivity(c) == "positive"
+        return _emit_json(out, {"dimension": dim, "boundary": boundary})
+    out.write(f"{dim}\n")
+
+
+def _desing(rd, q: Query, p_nodes, out: TextIO) -> None:
+    t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
+    if q.fmt == "dot":
+        out.write(desing.tower_dot(t))
+    elif q.fmt == "json":
+        _emit_json(out, t.to_json())
+    else:
+        dims = [len(f) for f in t.factors]
+        out.write(
+            f"{len(t.factors)} factor(s), root-set sizes {dims}, "
+            f"dimension {desing.tower_dimension(t)}\n"
+        )
+
+
+def _refine(rd, q: Query, p_nodes, out: TextIO) -> None:
+    t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
+    chain = desing.demazure_refinement(rd, t)
+    if q.fmt == "json":
+        return _emit_json(out, chain.to_json())
+    word = " ".join(str(i + 1) for i in chain.word) or "e"
+    out.write(f"word [{word}], {len(chain.minimal_factors)} minimal factor(s)\n")
+
+
+def _smooth(rd, q: Query, p_nodes, out: TextIO) -> None:
+    verdict = desing.smoothness_sufficient(rd, p_nodes, weyl.from_word(rd, q.word))
+    if q.fmt == "json":
+        return _emit_json(out, {"smooth_sufficient": verdict})
+    out.write("true\n" if verdict else "false\n")
+
+
+def _minimal(rd, q: Query, p_nodes, out: TextIO) -> None:
+    model = desing.minimal_schubert(rd, p_nodes, weyl.from_word(rd, q.word))
+    if q.fmt == "json":
+        return _emit_json(out, model.to_json())
+    out.write(
+        f"is_minimal: {str(model.is_minimal).lower()}\n"
+        f"p1_nodes: {model.to_json()['p1_nodes']}\n"
+        f"minimal_model_dimension: {model.dimension}\n"
+    )
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its help line, the flags it needs, whether it
+    renders DOT, and its handler.  The handler writes the command's output
+    in the query's format; it gets the P marks with --p defaulting to every
+    node (P = B)."""
+
+    help: str
+    required: tuple[str, ...]
+    dot: bool
+    handler: Callable[[rootsys.RootDatum, Query, frozenset[int], TextIO], None]
+
+
+COMMANDS = {
+    "root-system": Command(
+        "roots, Cartan matrix and Dynkin diagram of a simple type", (), True, _root_system
+    ),
+    "orbits": Command(
+        "orbit table of a marked parabolic pair acting on G/P", ("p", "pprime"), False, _orbits
+    ),
+    "codim": Command(
+        "diagram test: dense-orbit complement has codimension >= 2", ("p", "pprime"), False, _codim
+    ),
+    "levi": Command(
+        "reductive quotient of the dense orbit as marked components", ("p", "pprime"), False, _levi
+    ),
+    "nilradical": Command(
+        "ascending central filtration of a marked nilradical", ("pprime",), False, _nilradical
+    ),
+    "curves": Command(
+        "smooth rational curve existence for a degree vector", ("p", "degrees"), False, _curves
+    ),
+    "hilbert": Command(
+        "dimension of the smooth-curve family for a degree vector", ("p", "degrees"), False, _hilbert
+    ),
+    "desing": Command(
+        "parabolic factor tower resolving a Schubert variety", ("word",), True, _desing
+    ),
+    "refine": Command(
+        "one-reflection-per-step refinement of the tower", ("word",), False, _refine
+    ),
+    "smooth": Command(
+        "sufficient homogeneity/smoothness test for a Schubert variety", ("word",), False, _smooth
+    ),
+    "minimal": Command(
+        "largest parabolic quotient the Schubert variety fibres over", ("word",), False, _minimal
+    ),
+}
+
+
+def run_query(q: Query, out) -> int:
+    """Execute a query, writing deterministic bytes to ``out``."""
+    rd = rootsys.build_root_system(q.lie_type, q.rank)
+    p_nodes = q.p_nodes if q.p_nodes is not None else frozenset(range(rd.rank))
+    command = COMMANDS[q.command]
+    if q.fmt == "dot" and not command.dot:
+        raise ParseExit(f"error: --format dot is not supported for {q.command}")
+    try:
+        command.handler(rd, q, p_nodes, out)
     except orbits.DomainRefusal as exc:
         if q.fmt == "json":
-            emit_json({"error": "domain_refusal", "reason": str(exc)})
+            _emit_json(out, {"error": "domain_refusal", "reason": str(exc)})
         else:
             out.write(f"refused: {exc}\n")
         return 2
+    return 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

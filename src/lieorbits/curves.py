@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
-from .orbits import DomainRefusal, _check_nodes, nilradical_roots, quotient_dimension
+from .orbits import DomainRefusal, nilradical_roots, quotient_dimension
 from .rootsys import RootDatum, build_root_system, diagram_components_after_removal
 
 
@@ -34,9 +34,6 @@ class CurveClass:
             return self.degrees[self.nodes.index(node)]
         except ValueError:
             raise KeyError(f"node {node} is not a key of this class") from None
-
-    def as_dict(self) -> dict[int, int]:
-        return dict(zip(self.nodes, self.degrees))
 
 
 def curve_class(p_nodes: Iterable[int], degrees: Sequence[int]) -> CurveClass:
@@ -72,7 +69,7 @@ def anticanonical_coefficients(rd: RootDatum, p_nodes: Iterable[int]) -> dict[in
     The first Chern class is the sum of the nilradical's positive roots;
     its pairing against unmarked coroots must vanish, which is asserted.
     """
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     nil = nilradical_roots(rd, marked)
     coeffs = {}
     for j in range(rd.rank):
@@ -89,7 +86,7 @@ def anticanonical_coefficients(rd: RootDatum, p_nodes: Iterable[int]) -> dict[in
 def tangent_degree(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> int:
     """Degree of the tangent bundle against the class: expand c1 in the
     fundamental weights of the marked nodes, then pair degree-wise."""
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     _require_keys(rd, marked, c)
     coeffs = anticanonical_coefficients(rd, marked)
     return sum(coeffs[j] * c.degree(j) for j in c.nodes)
@@ -101,7 +98,7 @@ def tangent_degree_from_roots(
     """Independent route to the same degree: lift the class to the coroot
     lattice (zero on unmarked nodes) and sum its pairing with the negative
     of every root outside the parabolic."""
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     _require_keys(rd, marked, c)
     lift = {j: c.degree(j) for j in c.nodes}
     total = 0
@@ -119,7 +116,7 @@ def hilbert_dimension(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> i
         raise DomainRefusal(
             "class lies outside the positive cone; no dimension is asserted there"
         )
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     total = quotient_dimension(rd, marked)
     if total == 0:
         raise DomainRefusal("G/P is a point; it carries no curve")
@@ -158,7 +155,7 @@ def p1_fibration_candidates(
     The relative degree of a class is its pairing with the dropped simple
     root, returned as coefficients over the marked nodes.
     """
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     adj = rd.adjacency()
     out = []
     for m in sorted(marked):
@@ -202,7 +199,7 @@ def reduce_positive_class(
     carries marks becomes a factor with the strictly positive restriction
     of the class.  Components without marks contribute nothing.
     """
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     _require_keys(rd, marked, c)
     kind = positivity(c)
     if kind == "strict":
@@ -318,7 +315,7 @@ def decide_smooth_rational_curve(
     split along their zero-degree marks and the product of the resulting
     fibre factors is tested instead.
     """
-    marked = _check_nodes(rd, p_nodes)
+    marked = rd.check_nodes(p_nodes)
     _require_keys(rd, marked, c)
     kind = positivity(c)
     if kind == "outside":

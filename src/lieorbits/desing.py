@@ -7,9 +7,8 @@ parabolics, and evaluate the homogeneity/smoothness criterion.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
-from .orbits import _check_nodes
 from .parabolic import (
     ConsistencyError,
     ParabolicSequence,
@@ -31,58 +30,41 @@ from .weyl import WeylElement
 
 
 def borel_completion(
-    rd: RootDatum,
-    p_nodes: Iterable[int],
-    pprime_nodes: Iterable[int],
-    w: WeylElement,
+    rd: RootDatum, p_nodes: Iterable[int], w: WeylElement
 ) -> tuple[RootSubset, WeylElement]:
-    """Repair the standard Borel pair until it spans the orbit tangent set.
+    """Repair the standard Borel inside ``p`` until, together with ``w(B)``,
+    it spans ``p | w(B)``.
 
-    Returns a Borel ``b`` inside ``p`` and an element ``w2`` representing
-    the same double coset as ``w`` with
-    ``b | w2(b) == p | w2(p')``; each repair step reflects one of the two
-    Borels in a simple root whose negative is missing from the union.
+    Returns that Borel ``b`` and ``w2 = w u^-1`` with
+    ``u = borel_to_weyl(b)``, so ``w2(b) == w(B)``,
+    ``b | w2(b) == p | w(B)``, and ``w2`` lies in the right coset
+    ``w W_P`` (not always in the left coset ``W_P w``).  Each repair step
+    reflects ``b`` in a simple root whose negative lies in ``p`` but not in
+    the union.
     """
-    p_nodes = _check_nodes(rd, p_nodes)
-    pprime_nodes = _check_nodes(rd, pprime_nodes)
     p = standard_parabolic_set(rd, p_nodes)
-    moved_pp = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
-    span = p | moved_pp
     b = standard_borel(rd)
     bp = apply_element(w, b)
-
-    def repair(borel: RootSubset, ambient: RootSubset, union: RootSubset) -> Optional[RootSubset]:
-        simples = simple_roots_of_borel(rd, borel)
-        for i in range(rd.rank):
-            neg = rd.negative_index(simples[i])
-            if neg in ambient.indices and neg not in union.indices:
-                return RootSubset(rd, (borel.indices - {simples[i]}) | {neg})
-        return None
-
+    span = p | bp
     for _ in range(rd.positive_count + 1):
         union = b | bp
         if union == span:
             break
-        missing_in_p = any(i not in union.indices for i in p.indices)
-        nxt = repair(b, p, union) if missing_in_p else None
-        if nxt is not None:
-            b = nxt
-            continue
-        nxt = repair(bp, moved_pp, union)
-        if nxt is not None:
-            bp = nxt
-            continue
-        raise ConsistencyError(
-            "no repair step available although the union is short",
-            union=union.coords(),
-            span=span.coords(),
-        )
+        missing = p.indices - union.indices
+        simples = simple_roots_of_borel(rd, b)
+        pick = next((r for r in simples if rd.negative_index(r) in missing), None)
+        if pick is None:
+            raise ConsistencyError(
+                "no repair step available although the union is short",
+                union=union.coords(),
+                span=span.coords(),
+            )
+        b = RootSubset(rd, (b.indices - {pick}) | {rd.negative_index(pick)})
     else:
         raise ConsistencyError("Borel completion did not terminate")
-    if not (is_borel(rd, b) and is_borel(rd, bp) and b <= p and bp <= moved_pp):
+    if not (is_borel(rd, b) and b <= p):
         raise ConsistencyError("completion produced invalid Borels")
-    w2 = borel_to_weyl(rd, bp) * borel_to_weyl(rd, b).inverse()
-    return b, w2
+    return b, w * borel_to_weyl(rd, b).inverse()
 
 
 @dataclass(frozen=True)
@@ -128,9 +110,8 @@ def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> Desing
     primed parabolics ascending then the unprimed descending, with the
     intersections as junctions, and collapses adjacent equal factors.
     """
-    p_nodes = _check_nodes(rd, p_nodes)
-    all_nodes = frozenset(range(rd.rank))
-    b, w2 = borel_completion(rd, p_nodes, all_nodes, w)
+    p_nodes = rd.check_nodes(p_nodes)
+    b, w2 = borel_completion(rd, p_nodes, w)
     seq = parabolic_sequence(rd, b, apply_element(w2, b))
     n = seq.terminal_index
     raw: list[tuple[tuple[str, int], RootSubset]] = []
@@ -284,8 +265,7 @@ def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement)
     """Sufficient (not necessary) smoothness test for the Schubert variety:
     whether the first maximal parabolic pair already shares a Borel, i.e.
     the resolved variety is homogeneous under a parabolic subgroup."""
-    p_nodes = _check_nodes(rd, p_nodes)
-    b, w2 = borel_completion(rd, p_nodes, frozenset(range(rd.rank)), w)
+    b, w2 = borel_completion(rd, p_nodes, w)
     p1, pp1 = max_parabolic_pair(rd, b, apply_element(w2, b))
     return contains_borel(rd, p1 & pp1) is not None
 
@@ -315,8 +295,8 @@ def minimal_schubert(
     """Largest parabolic quotient over which the Schubert variety of ``w``
     is a fibration; the variety is minimal when the given parabolic is
     already that one."""
-    p_nodes = _check_nodes(rd, p_nodes)
-    b, w2 = borel_completion(rd, p_nodes, frozenset(range(rd.rank)), w)
+    p_nodes = rd.check_nodes(p_nodes)
+    b, w2 = borel_completion(rd, p_nodes, w)
     bp = apply_element(w2, b)
     p1, _ = max_parabolic_pair(rd, b, bp)
     sigma1 = sigma_of(rd, p1, b)

@@ -33,32 +33,14 @@ class DomainRefusal(ValueError):
     """The requested quantity is undefined without its hypothesis."""
 
 
-def _check_nodes(rd: RootDatum, nodes: Iterable[int]) -> frozenset[int]:
-    out = frozenset(nodes)
-    for i in out:
-        if not 0 <= i < rd.rank:
-            raise ValueError(f"node index {i} out of range 0..{rd.rank - 1}")
-    return out
-
-
 def weyl_generators(rd: RootDatum, marked: Iterable[int]) -> frozenset[int]:
     """Generator nodes of the reflection subgroup of a marked parabolic."""
-    marked = _check_nodes(rd, marked)
-    return frozenset(range(rd.rank)) - marked
-
-
-def standard_parabolic(rd: RootDatum, marked: Iterable[int]) -> RootSubset:
-    return standard_parabolic_set(rd, _check_nodes(rd, marked))
+    return frozenset(range(rd.rank)) - rd.check_nodes(marked)
 
 
 def quotient_dimension(rd: RootDatum, p_nodes: Iterable[int]) -> int:
     """Dimension of G/P: positive roots whose support meets the marks."""
-    marked = _check_nodes(rd, p_nodes)
-    return sum(
-        1
-        for i in range(rd.positive_count)
-        if not rd.roots[i].support.isdisjoint(marked)
-    )
+    return len(nilradical_roots(rd, p_nodes))
 
 
 def orbit_dimension(
@@ -69,8 +51,8 @@ def orbit_dimension(
 ) -> int:
     """Dimension of the orbit attached to ``w``: the roots of ``w(p')``
     that fall outside ``p``."""
-    p = standard_parabolic(rd, p_nodes)
-    moved = apply_element(w, standard_parabolic(rd, pprime_nodes))
+    p = standard_parabolic_set(rd, p_nodes)
+    moved = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
     return len(moved) - len(moved & p)
 
 
@@ -88,8 +70,8 @@ def is_dense_orbit(
     the longest element's coset orbit) is computed as well and the two are
     asserted to agree.
     """
-    p = standard_parabolic(rd, p_nodes)
-    moved = apply_element(w, standard_parabolic(rd, pprime_nodes))
+    p = standard_parabolic_set(rd, p_nodes)
+    moved = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
     dense = contains_borel(rd, p & moved.negated()) is not None
     if cross_check:
         from .weyl import longest_element
@@ -137,8 +119,8 @@ def orbit_table(
     rd: RootDatum, p_nodes: Iterable[int], pprime_nodes: Iterable[int]
 ) -> list[OrbitDescriptor]:
     """All orbits of the marked pair, sorted by dimension then representative."""
-    p_nodes = _check_nodes(rd, p_nodes)
-    pprime_nodes = _check_nodes(rd, pprime_nodes)
+    p_nodes = rd.check_nodes(p_nodes)
+    pprime_nodes = rd.check_nodes(pprime_nodes)
     total = quotient_dimension(rd, p_nodes)
     cosets = double_coset_orbits(
         rd, weyl_generators(rd, p_nodes), weyl_generators(rd, pprime_nodes)
@@ -167,8 +149,8 @@ def complement_codim_ge2(
 ) -> bool:
     """Diagram test: marks of P and involuted marks of P' must be disjoint
     for the dense orbit's complement to have codimension at least two."""
-    p_nodes = _check_nodes(rd, p_nodes)
-    pprime_nodes = _check_nodes(rd, pprime_nodes)
+    p_nodes = rd.check_nodes(p_nodes)
+    pprime_nodes = rd.check_nodes(pprime_nodes)
     inv = involution_i(rd)
     return p_nodes.isdisjoint(inv[j] for j in pprime_nodes)
 
@@ -226,8 +208,8 @@ def levi_quotient(
     carrying the involuted P marks that fall inside it.  Refuses when the
     disjointness hypothesis fails, naming an offending node.
     """
-    p_nodes = _check_nodes(rd, p_nodes)
-    pprime_nodes = _check_nodes(rd, pprime_nodes)
+    p_nodes = rd.check_nodes(p_nodes)
+    pprime_nodes = rd.check_nodes(pprime_nodes)
     inv = involution_i(rd)
     moved = frozenset(inv[j] for j in p_nodes)
     clash = sorted(moved & pprime_nodes)
@@ -261,7 +243,7 @@ class NilradicalFiltration:
 
 
 def nilradical_roots(rd: RootDatum, pprime_nodes: Iterable[int]) -> RootSubset:
-    marked = _check_nodes(rd, pprime_nodes)
+    marked = rd.check_nodes(pprime_nodes)
     return subset_of(
         rd,
         (

@@ -96,8 +96,16 @@ def standard_borel(rd: RootDatum) -> RootSubset:
 
 
 def standard_parabolic_set(rd: RootDatum, marked: Iterable[int]) -> RootSubset:
-    """Parabolic over the standard Borel with the given marked nodes."""
-    return parabolic_from_nodes(rd, frozenset(marked), standard_borel(rd))
+    """Parabolic over the standard Borel with the given marked nodes: the
+    positive roots and the negatives of every root that is a sum of
+    unmarked simple roots."""
+    marked = rd.check_nodes(marked)
+    extra = frozenset(
+        rd.negative_index(p)
+        for p in range(rd.positive_count)
+        if rd.roots[p].support.isdisjoint(marked)
+    )
+    return RootSubset(rd, frozenset(range(rd.positive_count)) | extra)
 
 
 def apply_element(w: WeylElement, s: RootSubset) -> RootSubset:
@@ -190,18 +198,11 @@ def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
 
 def parabolic_from_nodes(rd: RootDatum, sigma: Iterable[int], b: RootSubset) -> RootSubset:
     """Parabolic over ``b`` marked by ``sigma``: keep ``b`` and adjoin the
-    negatives of every root that is a sum of unmarked simple roots of ``b``."""
-    sigma = frozenset(sigma)
-    for i in sigma:
-        if not 0 <= i < rd.rank:
-            raise ValueError(f"node index {i} out of range 0..{rd.rank - 1}")
+    negatives of every root that is a sum of unmarked simple roots of ``b``,
+    i.e. the standard one moved by the element taking the standard Borel
+    to ``b``."""
+    std = standard_parabolic_set(rd, sigma)
     w = borel_to_weyl(rd, b)
-    extra = frozenset(
-        rd.negative_index(p)
-        for p in range(rd.positive_count)
-        if rd.roots[p].support.isdisjoint(sigma)
-    )
-    std = RootSubset(rd, frozenset(range(rd.positive_count)) | extra)
     return apply_element(w, std) if w.length else std
 
 

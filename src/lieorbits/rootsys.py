@@ -162,6 +162,14 @@ class RootDatum:
     def __repr__(self) -> str:
         return f"RootDatum({self.lie_type}{self.rank}, {len(self.roots)} roots)"
 
+    def check_nodes(self, nodes: Iterable[int]) -> frozenset[int]:
+        """The node indices as a set, each checked to lie in ``0..rank-1``."""
+        out = frozenset(nodes)
+        for i in out:
+            if not 0 <= i < self.rank:
+                raise ValueError(f"node index {i} out of range 0..{self.rank - 1}")
+        return out
+
     def pairing(self, coords: Sequence[int], j: int) -> int:
         """``<gamma, alphacheck_j>`` for ``gamma`` in simple-root coordinates."""
         return sum(self.cartan[j][i] * coords[i] for i in range(self.rank))
@@ -282,8 +290,7 @@ def cartan_pairing(rd: RootDatum, lam, j: int, basis: str = "weight") -> int:
     vector whose basis the caller states: ``"weight"`` for fundamental-weight
     coordinates (the pairing is then the j-th entry) or ``"root"``.
     """
-    if not 0 <= j < rd.rank:
-        raise ValueError(f"node index {j} out of range 0..{rd.rank - 1}")
+    rd.check_nodes((j,))
     if isinstance(lam, Root):
         return rd.pairing(lam.coords, j)
     if basis == "weight":
@@ -356,10 +363,7 @@ def diagram_components_after_removal(
     rd: RootDatum, removed: Iterable[int]
 ) -> list[DiagramComponent]:
     """Connected components of the Dynkin diagram minus the given nodes."""
-    removed = frozenset(removed)
-    for i in removed:
-        if not 0 <= i < rd.rank:
-            raise ValueError(f"node index {i} out of range 0..{rd.rank - 1}")
+    removed = rd.check_nodes(removed)
     adj = rd.adjacency()
     left = [i for i in range(rd.rank) if i not in removed]
     seen: set[int] = set()

@@ -62,12 +62,6 @@ class WeylElement:
             inv[img] = r
         return WeylElement(self.rd, tuple(inv), self.length)
 
-    def act_index(self, idx: int) -> int:
-        return self.perm[idx]
-
-    def is_identity(self) -> bool:
-        return self.length == 0
-
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced word recovered from the permutation.
 
@@ -93,8 +87,7 @@ def identity(rd: RootDatum) -> WeylElement:
 
 
 def simple_reflection(rd: RootDatum, i: int) -> WeylElement:
-    if not 0 <= i < rd.rank:
-        raise ValueError(f"node index {i} out of range 0..{rd.rank - 1}")
+    rd.check_nodes((i,))
     return WeylElement(rd, rd.reflection_perms()[i], 1)
 
 
@@ -213,9 +206,7 @@ def double_coset_orbits(
     """
     left = frozenset(p_nodes)
     right = frozenset(pprime_nodes)
-    for i in left | right:
-        if not 0 <= i < rd.rank:
-            raise ValueError(f"node index {i} out of range 0..{rd.rank - 1}")
+    rd.check_nodes(left | right)
     everyone = weyl_group(rd)
     lgens = [simple_reflection(rd, i) for i in sorted(left)]
     rgens = [simple_reflection(rd, i) for i in sorted(right)]

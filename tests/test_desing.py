@@ -13,14 +13,26 @@ import pytest
 from transcripts import GOLDEN_DIR, check_golden, write_golden
 
 from lieorbits.desing import (
+    borel_completion,
     build_tower,
     demazure_refinement,
     smoothness_sufficient,
     tower_dimension,
 )
-from lieorbits.parabolic import borel_to_weyl
+from lieorbits.parabolic import (
+    apply_element,
+    borel_to_weyl,
+    standard_borel,
+    standard_parabolic_set,
+)
 from lieorbits.rootsys import build_root_system
-from lieorbits.weyl import from_word, permutation_to_word, simple_reflection, weyl_group
+from lieorbits.weyl import (
+    from_word,
+    identity,
+    permutation_to_word,
+    simple_reflection,
+    weyl_group,
+)
 
 GOLDEN = GOLDEN_DIR / "desing_cli.json"
 SMALL = [("A", 2), ("A", 3), ("B", 3), ("G", 2)]
@@ -79,6 +91,23 @@ def test_tower_dimension_is_length_of_minimal_left_coset_element(key):
         gens = [i for i in range(rd.rank) if i not in marks]
         want = min(x.length for x in left_coset(rd, gens, w))
         assert tower_dimension(t) == want
+
+
+@pytest.mark.parametrize("key", SMALL, ids=type_id)
+def test_borel_completion_spans_p_and_w_of_b_and_stays_in_the_right_coset(key):
+    rd = build_root_system(*key)
+    left_misses = 0
+    for w, marks, t in towers(rd):
+        b, w2 = borel_completion(rd, marks, w)
+        assert (b, w2) == (t.base_borel, t.base_element)
+        wb = apply_element(w, standard_borel(rd))
+        assert apply_element(w2, b) == wb
+        assert b | wb == standard_parabolic_set(rd, marks) | wb
+        assert w2 == w * borel_to_weyl(rd, b).inverse()
+        gens = [i for i in range(rd.rank) if i not in marks]
+        assert w.inverse() * w2 in left_coset(rd, gens, identity(rd))  # w2 in w W_P
+        left_misses += w2 not in left_coset(rd, gens, w)
+    assert left_misses > 0  # the left coset W_P w is not always the right one
 
 
 def contains_pattern(seq, pattern):

@@ -259,3 +259,53 @@ def test_rootdatum_repr_and_lookup():
     assert "A2" in repr(rd)
     with pytest.raises(ValueError):
         rd.index_of(Root((5, 5)))
+
+
+def _node_entry_points():
+    """Every public entry point taking a node set or a node index, called
+    with the single node ``n`` on A3."""
+    from lieorbits import curves, desing, orbits, parabolic, weyl
+
+    def cls(n):
+        return curves.curve_class([n], [1])
+
+    e = weyl.identity
+    return {
+        "simple_reflection": lambda rd, n: weyl.simple_reflection(rd, n),
+        "from_word": lambda rd, n: weyl.from_word(rd, [n]),
+        "double_coset_orbits": lambda rd, n: weyl.double_coset_orbits(rd, [n], []),
+        "parabolic_from_nodes": lambda rd, n: parabolic.parabolic_from_nodes(
+            rd, [n], parabolic.standard_borel(rd)
+        ),
+        "standard_parabolic_set": lambda rd, n: parabolic.standard_parabolic_set(rd, [n]),
+        "cartan_pairing": lambda rd, n: cartan_pairing(rd, rd.roots[0], n),
+        "diagram_components_after_removal": lambda rd, n: diagram_components_after_removal(
+            rd, [n]
+        ),
+        "weyl_generators": lambda rd, n: orbits.weyl_generators(rd, [n]),
+        "quotient_dimension": lambda rd, n: orbits.quotient_dimension(rd, [n]),
+        "orbit_table": lambda rd, n: orbits.orbit_table(rd, [n], [0]),
+        "orbit_dimension": lambda rd, n: orbits.orbit_dimension(rd, e(rd), [n], [0]),
+        "complement_codim_ge2": lambda rd, n: orbits.complement_codim_ge2(rd, [n], [0]),
+        "levi_quotient": lambda rd, n: orbits.levi_quotient(rd, [n], [0]),
+        "nilradical_filtration": lambda rd, n: orbits.nilradical_filtration(rd, [n]),
+        "build_tower": lambda rd, n: desing.build_tower(rd, [n], e(rd)),
+        "smoothness_sufficient": lambda rd, n: desing.smoothness_sufficient(rd, [n], e(rd)),
+        "minimal_schubert": lambda rd, n: desing.minimal_schubert(rd, [n], e(rd)),
+        "tangent_degree": lambda rd, n: curves.tangent_degree(rd, [n], cls(n)),
+        "hilbert_dimension": lambda rd, n: curves.hilbert_dimension(rd, [n], cls(n)),
+        "decide_smooth_rational_curve": lambda rd, n: curves.decide_smooth_rational_curve(
+            rd, [n], cls(n)
+        ),
+        "p1_fibration_candidates": lambda rd, n: curves.p1_fibration_candidates(rd, [n]),
+        "anticanonical_coefficients": lambda rd, n: curves.anticanonical_coefficients(rd, [n]),
+    }
+
+
+@pytest.mark.parametrize("bad", [3, -1])
+@pytest.mark.parametrize("name", sorted(_node_entry_points()))
+def test_entry_points_reject_out_of_range_nodes_with_one_message(name, bad):
+    rd = build_root_system("A", 3)
+    with pytest.raises(ValueError) as exc:
+        _node_entry_points()[name](rd, bad)
+    assert str(exc.value) == f"node index {bad} out of range 0..2"
