@@ -107,7 +107,7 @@ def test_borel_completion_spans_p_and_w_of_b_and_stays_in_the_right_coset(key):
         gens = [i for i in range(rd.rank) if i not in marks]
         assert w.inverse() * w2 in left_coset(rd, gens, identity(rd))  # w2 in w W_P
         left_misses += w2 not in left_coset(rd, gens, w)
-    assert left_misses > 0  # the left coset W_P w is not always the right one
+    assert left_misses > 0  # W_P w does not always contain w2
 
 
 def contains_pattern(seq, pattern):
