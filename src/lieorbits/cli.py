@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
@@ -115,6 +116,13 @@ def build_parser() -> Parser:
 
 
 def parse_query(argv: Sequence[str]) -> Query:
+    argv = list(argv)
+    # argparse reads a value such as "-1,1" as an option unless it is glued
+    # on; "--d" and longer prefixes abbreviate --degrees alone
+    for k in range(len(argv) - 1, 0, -1):
+        opt, value = argv[k - 1], argv[k]
+        if len(opt) > 2 and "--degrees".startswith(opt) and re.match(r"-\d", value):
+            argv[k - 1 : k + 1] = [f"--degrees={value}"]
     ns = build_parser().parse_args(argv)
     if ns.command is None:
         raise ParseExit("error: a command is required (see --help)")

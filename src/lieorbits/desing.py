@@ -14,19 +14,18 @@ from .parabolic import (
     ParabolicSequence,
     RootSubset,
     apply_element,
-    borel_chain,
-    borel_to_weyl,
+    chain_walk,
     contains_borel,
     is_borel,
     max_parabolic_pair,
     parabolic_sequence,
     sigma_of,
-    simple_roots_of_borel,
     standard_borel,
     standard_parabolic_set,
+    walk_borel,
 )
 from .rootsys import RootDatum
-from .weyl import WeylElement
+from .weyl import WeylElement, identity
 
 
 def borel_completion(
@@ -35,36 +34,30 @@ def borel_completion(
     """Repair the standard Borel inside ``p`` until, together with ``w(B)``,
     it spans ``p | w(B)``.
 
-    Returns that Borel ``b`` and ``w2 = w u^-1`` with
-    ``u = borel_to_weyl(b)``, so ``w2(b) == w(B)``,
-    ``b | w2(b) == p | w(B)``, and ``w2`` lies in the right coset
-    ``w W_P`` (not always in the left coset ``W_P w``).  Each repair step
-    reflects ``b`` in a simple root whose negative lies in ``p`` but not in
-    the union.
+    Returns that Borel ``b`` and ``w2 = w u^-1`` with ``u(B) = b``, so
+    ``w2(b) == w(B)``, ``b | w2(b) == p | w(B)``, and ``w2`` lies in the
+    right coset ``w W_P`` (not always in the left coset ``W_P w``).  Each
+    repair step reflects ``b`` in a simple root whose negative lies in ``p``
+    but not in the union; the walk carries ``u`` along.
     """
     p = standard_parabolic_set(rd, p_nodes)
     b = standard_borel(rd)
     bp = apply_element(w, b)
     span = p | bp
-    for _ in range(rd.positive_count + 1):
-        union = b | bp
-        if union == span:
-            break
-        missing = p.indices - union.indices
-        simples = simple_roots_of_borel(rd, b)
-        pick = next((r for r in simples if rd.negative_index(r) in missing), None)
-        if pick is None:
-            raise ConsistencyError(
-                "no repair step available although the union is short",
-                union=union.coords(),
-                span=span.coords(),
-            )
-        b = RootSubset(rd, (b.indices - {pick}) | {rd.negative_index(pick)})
-    else:
-        raise ConsistencyError("Borel completion did not terminate")
+    fixable = (p - bp).negated().indices  # roots whose negative is in p but not in w(B)
+    borels, _, u = walk_borel(
+        rd, b, identity(rd), fixable.__contains__, lambda cur: cur | bp.indices == span.indices
+    )
+    b = borels[-1]
+    if b | bp != span:
+        raise ConsistencyError(
+            "no repair step available although the union is short",
+            union=(b | bp).coords(),
+            span=span.coords(),
+        )
     if not (is_borel(rd, b) and b <= p):
         raise ConsistencyError("completion produced invalid Borels")
-    return b, w * borel_to_weyl(rd, b).inverse()
+    return b, w * u.inverse()
 
 
 @dataclass(frozen=True)
@@ -185,55 +178,44 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
 
     The grand chain descends from the moved Borel to the base Borel; each
     consecutive pair spans a minimal parabolic, and the induced word is a
-    reduced expression.  Its product is ``u^-1 w2 u``, with ``w2`` the
-    tower's base element and ``u = borel_to_weyl(base_borel)``; that equals
-    the base element only when the base Borel is standard.
+    reduced expression.  Its letters are the nodes of the chain walks that
+    built the pieces, read backwards: a reflection is an involution, so the
+    step back goes through the same node.  The word's product is
+    ``u^-1 w2 u``, with ``w2`` the tower's base element and ``u(B)`` the
+    base Borel; that equals the base element only when the base Borel is
+    standard.
     """
     seq = t.sequence
     n = seq.terminal_index
     b1 = t.base_borel
     bp1 = seq.borels[0][1]
-    pieces: list[tuple[tuple[str, int], list[RootSubset]]] = []
-    for k in range(1, n):
-        lo, hi = seq.borels[k][1], seq.borels[k - 1][1]  # B'_{k+1} -> B'_k
-        asc = borel_chain(rd, seq.parabolics[k - 1][1], bp1, lo, hi)
-        pieces.append((("pprime", k), list(reversed(asc))))
-    asc = borel_chain(rd, seq.parabolics[n - 1][1], bp1, seq.final_borel, seq.borels[n - 1][1])
-    pieces.append((("pprime", n), list(reversed(asc))))
-    asc = borel_chain(rd, seq.parabolics[n - 1][0], bp1, seq.borels[n - 1][0], seq.final_borel)
-    pieces.append((("p", n), list(reversed(asc))))
-    for k in range(n - 1, 0, -1):
-        lo, hi = seq.borels[k - 1][0], seq.borels[k][0]  # B_k -> B_{k+1}
-        asc = borel_chain(rd, seq.parabolics[k - 1][0], bp1, lo, hi)
-        pieces.append((("p", k), list(reversed(asc))))
+    # pieces (origin, parabolic, lo, hi) in descending order; each is walked up from lo to hi
+    bs = [b for b, _ in seq.borels] + [seq.final_borel]  # B_1 .. B_n, then the aligned Borel
+    bps = [bp for _, bp in seq.borels] + [seq.final_borel]
+    pieces = [(("pprime", k), seq.parabolics[k - 1][1], bps[k], bps[k - 1]) for k in range(1, n + 1)]
+    pieces += [(("p", k), seq.parabolics[k - 1][0], bs[k - 1], bs[k]) for k in range(n, 0, -1)]
+    walks = [(origin, *chain_walk(rd, par, bp1, lo, hi)) for origin, par, lo, hi in pieces]
 
     # stitch the pieces; every piece starts where the previous one ended
-    grand: list[RootSubset] = [pieces[0][1][0]]
+    grand: list[RootSubset] = [walks[0][1][-1]]
+    letters: list[int] = []
     step_origin: list[tuple[str, int]] = []
-    for origin, piece in pieces:
-        if piece[0] != grand[-1]:
+    for origin, borels, nodes in walks:
+        if borels[-1] != grand[-1]:
             raise ConsistencyError("refinement pieces do not join up")
-        for nxt in piece[1:]:
-            grand.append(nxt)
-            step_origin.append(origin)
+        grand.extend(reversed(borels[:-1]))
+        letters.extend(reversed(nodes))
+        step_origin.extend([origin] * len(nodes))
     if grand[0] != bp1 or grand[-1] != b1:
         raise ConsistencyError("grand chain has wrong endpoints")
 
     minimal = []
-    letters = []
     for cur, nxt in zip(grand, grand[1:]):
         diff = cur.indices - nxt.indices
         if len(diff) != 1:
             raise ConsistencyError("chain step is not a single reflection")
-        gamma = next(iter(diff))
-        par = RootSubset(rd, cur.indices | {rd.negative_index(gamma)})
-        minimal.append(par)
-        # the step reflects cur = x(B) in its simple root gamma = x(alpha_i);
-        # its letter is i
-        simples = simple_roots_of_borel(rd, cur)
-        if gamma not in simples:
-            raise ConsistencyError("chain step is not a simple reflection")
-        letters.append(simples.index(gamma))
+        (gamma,) = diff
+        minimal.append(RootSubset(rd, cur.indices | {rd.negative_index(gamma)}))
     word = tuple(reversed(letters))
 
     # group the steps by the collapsed tower factor that hosts them;

@@ -160,6 +160,7 @@ def complement_min_codim(
 ) -> Optional[int]:
     """Brute-force codimension of the dense orbit's complement, from the
     full orbit enumeration; None when every orbit is dense."""
+    p_nodes, pprime_nodes = rd.check_nodes(p_nodes), rd.check_nodes(pprime_nodes)
     total = quotient_dimension(rd, p_nodes)
     dims = [o.dimension for o in orbit_table(rd, p_nodes, pprime_nodes) if not o.dense]
     return min((total - d for d in dims), default=None)

@@ -11,10 +11,10 @@ Cartan part is implicit and never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from .rootsys import RootDatum
-from .weyl import WeylElement
+from .weyl import WeylElement, identity
 
 
 class ConsistencyError(RuntimeError):
@@ -152,42 +152,75 @@ def is_covering(rd: RootDatum, s: RootSubset) -> bool:
     )
 
 
-def is_borel(rd: RootDatum, s: RootSubset) -> bool:
+def _one_per_pair(rd: RootDatum, s: RootSubset) -> bool:
     n = rd.positive_count
-    if len(s) != n:
-        return False
     # root p and its negative p + n share the residue p mod n, so n roots
     # meet every opposite pair once exactly when their residues are distinct
-    one_per_pair = len({i % n for i in s.indices}) == n
-    return one_per_pair and is_closed(rd, s)
+    return len(s) == n and len({i % n for i in s.indices}) == n
+
+
+def is_borel(rd: RootDatum, s: RootSubset) -> bool:
+    return _one_per_pair(rd, s) and is_closed(rd, s)
 
 
 def is_parabolic(rd: RootDatum, s: RootSubset) -> bool:
     return is_closed(rd, s) and is_covering(rd, s)
 
 
-def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
-    """The unique element sending the standard Borel to ``b``."""
-    if not is_borel(rd, b):
-        raise ValueError("not a Borel root set")
+def walk_borel(
+    rd: RootDatum,
+    b: RootSubset,
+    x: WeylElement,
+    pick: Callable[[int], bool],
+    done: Callable[[frozenset[int]], bool],
+) -> tuple[list[RootSubset], list[int], WeylElement]:
+    """Walk the Borel ``b = x(B)`` one simple reflection at a time.
+
+    Each step takes the smallest node ``i`` whose simple root ``x(alpha_i)``
+    of the current Borel satisfies ``pick``, flips that root's sign and moves
+    ``x`` to ``x s_i``, one longer or one shorter as ``x(alpha_i)`` is
+    positive or negative.  The walk stops once ``done`` holds for the current
+    root indices, or when no node qualifies; it returns the Borels passed,
+    the node of each step and the element of the last Borel.
+    """
     perms = rd.reflection_perms()
-    neg_simples = [rd.negative_index(rd.simple_root_index(i)) for i in range(rd.rank)]
-    cur = set(b.indices)
-    # reflecting in s_{l_1}, s_{l_2}, ... walks b down to the standard Borel,
-    # so the element is s_{l_1} s_{l_2} ..., one letter per negative root of b
-    perm = tuple(range(len(rd.roots)))
-    length = 0
-    for _ in range(rd.positive_count + 1):
-        i = next((i for i, r in enumerate(neg_simples) if r in cur), None)
+    simples = [rd.simple_root_index(i) for i in range(rd.rank)]
+    n = rd.positive_count
+    cur, perm, length = b.indices, x.perm, x.length
+    borels, nodes = [b], []
+    for _ in range(n + 1):
+        if done(cur):
+            break
+        i = next((i for i, a in enumerate(simples) if pick(perm[a])), None)
         if i is None:
             break
-        s = perms[i]
-        cur = set(map(s.__getitem__, cur))
-        perm = tuple(map(perm.__getitem__, s))
-        length += 1
+        r = perm[simples[i]]
+        cur = (cur - {r}) | {rd.negative_index(r)}
+        perm = tuple(map(perm.__getitem__, perms[i]))
+        length += 1 if r < n else -1
+        borels.append(RootSubset(rd, cur))
+        nodes.append(i)
     else:
-        raise ConsistencyError("Borel did not normalise", borel=b.coords())
-    return WeylElement(rd, perm, length)
+        raise ConsistencyError("Borel walk did not terminate", borel=b.coords())
+    return borels, nodes, WeylElement(rd, perm, length)
+
+
+def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
+    """The unique element sending the standard Borel to ``b``.
+
+    The walk up from the standard Borel reflects in a simple root whose
+    negative lies in ``b``, so each step adds one root of ``b``.  A set of
+    one root per opposite pair is a Borel exactly when this walk reaches it:
+    reflections are automorphisms, so every set on the path is a Borel, and
+    a Borel other than ``b`` always has such a simple root when ``b`` is one.
+    """
+    if _one_per_pair(rd, b):
+        borels, _, x = walk_borel(
+            rd, standard_borel(rd), identity(rd), b.negated().indices.__contains__, b.indices.__eq__
+        )
+        if borels[-1] == b:
+            return x
+    raise ValueError("not a Borel root set")
 
 
 def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
@@ -261,13 +294,13 @@ def max_parabolic_pair(
     from the other Borel."""
     out = []
     for left, right in ((b, bp), (bp, b)):
-        simples = simple_roots_of_borel(rd, left)
+        x = borel_to_weyl(rd, left)
         sigma = frozenset(
             i
             for i in range(rd.rank)
-            if rd.negative_index(simples[i]) not in right.indices
+            if rd.negative_index(x.perm[rd.simple_root_index(i)]) not in right.indices
         )
-        p = parabolic_from_nodes(rd, sigma, left)
+        p = apply_element(x, standard_parabolic_set(rd, sigma))
         if not p <= (b | bp):
             raise ConsistencyError(
                 "maximal parabolic escapes the Borel union",
@@ -319,14 +352,6 @@ def next_borels(
     return step(pn, ppn, bn), step(ppn, pn, bpn)
 
 
-def _reflect_by_own_simple(rd: RootDatum, b: RootSubset, root_idx: int) -> RootSubset:
-    # reflecting a Borel in one of its simple roots only swaps that root's sign
-    return RootSubset(
-        rd,
-        (b.indices - {root_idx}) | {rd.negative_index(root_idx)},
-    )
-
-
 def align_borel(
     rd: RootDatum,
     b: RootSubset,
@@ -340,39 +365,29 @@ def align_borel(
     Each step reflects in a simple root of the current Borel that ``pp``
     misses; ties take the smallest node index.
     """
-    cur = b
-    for _ in range(rd.positive_count + 1):
-        if cur <= pp:
-            return cur
-        simples = simple_roots_of_borel(rd, cur)
-        pick = next(
-            (
-                simples[i]
-                for i in range(rd.rank)
-                if simples[i] not in pp.indices
-            ),
-            None,
-        )
-        if pick is None:
-            raise ConsistencyError(
-                "no admissible reflection although Borel escapes target",
-                borel=cur.coords(),
-                target=pp.coords(),
-            )
-        if rd.negative_index(pick) not in p.indices:
+    borels, _, _ = walk_borel(
+        rd, b, borel_to_weyl(rd, b), lambda r: r not in pp.indices, pp.indices.issuperset
+    )
+    for cur, nxt in zip(borels, borels[1:]):
+        (root,) = cur.indices - nxt.indices
+        if rd.negative_index(root) not in p.indices:
             raise ConsistencyError(
                 "reflection would leave the ambient parabolic",
-                root=rd.roots[pick].coords,
+                root=rd.roots[root].coords,
                 parabolic=p.coords(),
             )
-        before = len(cur & ref)
-        cur = _reflect_by_own_simple(rd, cur, pick)
-        if len(cur & ref) != before + 1:
+        if len(nxt & ref) != len(cur & ref) + 1:
             raise ConsistencyError(
                 "alignment step did not grow the reference intersection",
-                root=rd.roots[pick].coords,
+                root=rd.roots[root].coords,
             )
-    raise ConsistencyError("Borel alignment did not terminate", borel=b.coords())
+    if not borels[-1] <= pp:
+        raise ConsistencyError(
+            "no admissible reflection although Borel escapes target",
+            borel=borels[-1].coords(),
+            target=pp.coords(),
+        )
+    return borels[-1]
 
 
 @dataclass(frozen=True)
@@ -459,39 +474,38 @@ def borel_chain(
     """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
     reflection per step, growing the intersection with ``b_ref`` by exactly
     one root each time."""
+    return chain_walk(rd, p, b_ref, b_from, b_to)[0]
+
+
+def chain_walk(
+    rd: RootDatum,
+    p: RootSubset,
+    b_ref: RootSubset,
+    b_from: RootSubset,
+    b_to: RootSubset,
+) -> tuple[list[RootSubset], list[int]]:
+    """The path of :func:`borel_chain` with the node of each step."""
     if not (b_from <= p and b_to <= p):
         raise ValueError("endpoint Borels must lie inside the parabolic")
     if not (b_from & b_ref) <= (b_to & b_ref):
         raise ValueError("reference intersections are not nested")
-    chain = [b_from]
-    cur = b_from
-    for _ in range(rd.positive_count + 1):
-        if cur == b_to:
-            return chain
-        target = b_ref & b_to
-        simples = simple_roots_of_borel(rd, cur)
-        pick = next(
-            (
-                simples[i]
-                for i in range(rd.rank)
-                if rd.negative_index(simples[i]) in target.indices
-            ),
-            None,
-        )
-        if pick is None:
-            raise ConsistencyError(
-                "chain stuck before reaching the target Borel",
-                at=cur.coords(),
-                target=b_to.coords(),
-            )
-        nxt = _reflect_by_own_simple(rd, cur, pick)
+    target = (b_ref & b_to).negated().indices  # the negatives of the roots to gain
+    borels, nodes, _ = walk_borel(
+        rd, b_from, borel_to_weyl(rd, b_from), target.__contains__, b_to.indices.__eq__
+    )
+    for cur, nxt in zip(borels, borels[1:]):
         if not nxt <= p or len(nxt & b_ref) != len(cur & b_ref) + 1:
+            (root,) = cur.indices - nxt.indices
             raise ConsistencyError(
-                "chain step violated its invariants", root=rd.roots[pick].coords
+                "chain step violated its invariants", root=rd.roots[root].coords
             )
-        chain.append(nxt)
-        cur = nxt
-    raise ConsistencyError("Borel chain did not terminate")
+    if borels[-1] != b_to:
+        raise ConsistencyError(
+            "chain stuck before reaching the target Borel",
+            at=borels[-1].coords(),
+            target=b_to.coords(),
+        )
+    return borels, nodes
 
 
 def sum_absorption_holds(rd: RootDatum, p: RootSubset) -> bool:

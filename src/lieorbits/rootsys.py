@@ -139,9 +139,8 @@ class RootDatum:
 
     Immutable after construction; instances compare by identity and may be
     shared freely.  The only mutable state is the lazily built reflection
-    and sum tables and a private Bruhat-order memo used by
-    :mod:`lieorbits.weyl`, which are safe under CPython's GIL for the
-    single-writer uses in this library.
+    and sum tables, which are safe under CPython's GIL for the single-writer
+    uses in this library.
     """
 
     def __init__(self, lie_type: str, rank: int, cartan, roots: list[tuple[int, ...]]):
@@ -157,7 +156,6 @@ class RootDatum:
         }
         self._reflections: Optional[tuple[tuple[int, ...], ...]] = None
         self._sums: Optional[tuple[dict[int, int], ...]] = None
-        self._bruhat_memo: dict = {}
 
     def __repr__(self) -> str:
         return f"RootDatum({self.lie_type}{self.rank}, {len(self.roots)} roots)"

@@ -113,42 +113,24 @@ def longest_element(rd: RootDatum) -> WeylElement:
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order, by recursion on left descents with per-datum memoing."""
+    """Bruhat order, by walking down the left descents of ``w``: when
+    ``s w < w``, ``u <= w`` exactly when ``min(u, s u) <= s w``."""
     if u.rd is not w.rd:
         raise ValueError("elements of different root systems")
     rd = u.rd
-    memo = rd._bruhat_memo
-
-    def rec(up: tuple[int, ...], wp: tuple[int, ...], ul: int, wl: int) -> bool:
-        if up == wp:
-            return True
+    refl = rd.reflection_perms()
+    simples = [rd.simple_root_index(i) for i in range(rd.rank)]
+    n = rd.positive_count
+    up, wp, ul, wl = u.perm, w.perm, u.length, w.length
+    while up != wp:
         if ul >= wl:
             return False
-        key = (up, wp)
-        hit = memo.get(key)
-        if hit is not None:
-            return hit
-        # left descent of w: s_i w shorter, i.e. w^{-1}(alpha_i) negative
-        refl = rd.reflection_perms()
-        n = rd.positive_count
-        i = next(
-            i
-            for i in range(rd.rank)
-            if wp.index(rd.simple_root_index(i)) >= n
-        )
-        s = refl[i]
-        swp = tuple(s[wp[r]] for r in range(len(wp)))
-        sup = tuple(s[up[r]] for r in range(len(up)))
-        sul = sum(1 for p in range(n) if sup[p] >= n)
-        swl = wl - 1
-        if sul < ul:
-            res = rec(sup, swp, sul, swl)
-        else:
-            res = rec(up, swp, ul, swl)
-        memo[key] = res
-        return res
-
-    return rec(u.perm, w.perm, u.length, w.length)
+        # s_i is a left descent of an element v when v^-1(alpha_i) is negative
+        i = next(i for i, a in enumerate(simples) if wp.index(a) >= n)
+        wp, wl = tuple(map(refl[i].__getitem__, wp)), wl - 1
+        if up.index(simples[i]) >= n:
+            up, ul = tuple(map(refl[i].__getitem__, up)), ul - 1
+    return True
 
 
 @lru_cache(maxsize=None)

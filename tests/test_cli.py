@@ -8,7 +8,8 @@ Regenerate the golden file from a trusted tree with
 
 from __future__ import annotations
 
-from transcripts import GOLDEN_DIR, check_golden, write_golden
+import pytest
+from transcripts import GOLDEN_DIR, check_golden, transcript, write_golden
 
 GOLDEN = GOLDEN_DIR / "cli_commands.json"
 
@@ -30,7 +31,7 @@ def degree_vectors(k):
     if k == 0:
         return ["", "1"]
     rest = ["1"] * (k - 1)
-    # a leading "-1," would read as an option, so the negative entry goes last
+    # the negative entry goes last, as when "--degrees -1,1" was still read as an option
     vectors = (["1"] + rest, ["0"] + rest, ["2"] + rest, rest + ["-1"], ["1"] * (k + 1))
     return [",".join(v) for v in vectors]
 
@@ -78,6 +79,17 @@ def cli_argvs():
 
 def test_command_transcripts_match_golden_bytes():
     check_golden(GOLDEN, cli_argvs())
+
+
+@pytest.mark.parametrize("command", ["curves", "hilbert"])
+@pytest.mark.parametrize("degrees", ["-1,1", "-2,-1", "-1"])
+def test_leading_negative_degrees_read_as_a_value(command, degrees):
+    head = [command, "--type", "A", "--rank", "3", "--p", "1,3"]
+    spaced = transcript(head + ["--degrees", degrees, "--format", "json"])
+    abbreviated = transcript(head + ["--deg", degrees, "--format", "json"])
+    glued = transcript(head + [f"--degrees={degrees}", "--format", "json"])
+    assert "expected one argument" not in spaced["stderr"]
+    assert {**spaced, "argv": None} == {**abbreviated, "argv": None} == {**glued, "argv": None}
 
 
 if __name__ == "__main__":

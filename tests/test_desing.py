@@ -35,6 +35,7 @@ from lieorbits.weyl import (
 )
 
 GOLDEN = GOLDEN_DIR / "desing_cli.json"
+GOLDEN_TYPES = GOLDEN_DIR / "desing_cli_types.json"
 SMALL = [("A", 2), ("A", 3), ("B", 3), ("G", 2)]
 
 # (type, rank): words in CLI syntax, --p values (None leaves P = B)
@@ -42,6 +43,22 @@ CLI_CASES = {
     ("A", 3): (["", "1", "2 1 3 2", "3412", "4231", "1 2 1 3 2 1"], [None, "2", "1,3"]),
     ("B", 3): (["", "3", "1 2 3", "3 2 3 2", "1 2 3 2 1 2"], [None, "1", "3"]),
     ("G", 2): (["", "1", "1 2", "2 1 2", "1 2 1 2 1 2"], [None, "1", "2"]),
+}
+
+# the same four commands in JSON on the larger exceptional and simply laced types
+TYPE_CASES = {
+    ("D", 4): (
+        ["", "2", "1 2 3 4", "2 1 3 4 2", "4 2 3 1 2 4 1 2 3 1 2 1"],
+        [None, "2", "1,3,4"],
+    ),
+    ("F", 4): (
+        ["", "3", "1 2 3 4", "3 2 3 4 3 2 1", "4 3 2 3 1 2 3 4 3 2 3 1 2 3 4 3 2 3 1 2 3 1 2 1"],
+        [None, "1", "4"],
+    ),
+    ("E", 6): (
+        ["", "4", "1 3 4 5 6 2", "2 4 3 5 4 2 6 5 4", "1 3 4 5 6 2 4 5 3 4 1 3 2 4 5 6"],
+        [None, "2", "1,6"],
+    ),
 }
 
 
@@ -151,9 +168,24 @@ def cli_argvs():
                         yield argv + ["--format", fmt]
 
 
+def type_argvs():
+    for (lie_type, rank), (words, marks) in TYPE_CASES.items():
+        for word in words:
+            for p in marks:
+                for command in ("desing", "refine", "smooth", "minimal"):
+                    argv = [command, "--type", lie_type, "--rank", str(rank), "--word", word]
+                    argv += ["--p", p] if p is not None else []
+                    yield argv + ["--format", "json"]
+
+
 def test_cli_transcripts_match_golden_bytes():
     check_golden(GOLDEN, cli_argvs())
 
 
+def test_cli_transcripts_on_d4_f4_e6_match_golden_bytes():
+    check_golden(GOLDEN_TYPES, type_argvs())
+
+
 if __name__ == "__main__":
     write_golden(GOLDEN, cli_argvs())
+    write_golden(GOLDEN_TYPES, type_argvs())

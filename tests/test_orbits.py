@@ -92,6 +92,12 @@ def test_codim_criterion_fixtures():
     assert complement_min_codim(a3, {0}, {2}) == 1
 
 
+def test_complement_min_codim_takes_one_shot_iterables():
+    a3 = build_root_system("A", 3)
+    assert complement_min_codim(a3, iter([0]), [2]) == 1
+    assert complement_min_codim(a3, iter([0]), iter([2])) == 1
+
+
 def test_codim_criterion_equals_brute_force():
     for key in [("A", 3), ("C", 2)]:
         rd = build_root_system(*key)

@@ -29,9 +29,10 @@ from lieorbits.parabolic import (
     standard_parabolic_set,
     subset_of,
     sum_absorption_holds,
+    walk_borel,
 )
 from lieorbits.rootsys import Root, build_root_system
-from lieorbits.weyl import from_word, identity, weyl_group
+from lieorbits.weyl import from_word, identity, simple_reflection, weyl_group
 
 
 def coords_set(rd, s):
@@ -400,3 +401,52 @@ def test_is_borel_rejects_closed_sets_of_borel_size_with_both_signs():
     levi = subset_of(rd, (i for i, r in enumerate(rd.roots) if r.support <= {0, 1}))
     assert len(levi) == rd.positive_count and closed_violation(rd, levi) is None
     assert not is_borel(rd, levi)
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 2), ("B", 2), ("G", 2), ("A", 3), ("B", 3), ("C", 3)], ids=lambda key: f"{key[0]}{key[1]}"
+)
+def test_borel_to_weyl_accepts_exactly_the_borels_among_one_per_pair_sets(key):
+    rd = build_root_system(*key)
+    n = rd.positive_count
+    sets = (subset_of(rd, (p + n * (signs >> p & 1) for p in range(n))) for signs in range(2**n))
+    assert sum(map(borel_to_weyl_agrees_with_is_borel, sets)) == len(weyl_group(rd))
+
+
+@pytest.mark.parametrize("key", [("D", 4), ("F", 4), ("E", 6)], ids=lambda key: f"{key[0]}{key[1]}")
+def test_borel_to_weyl_agrees_with_is_borel_on_random_one_per_pair_sets(key):
+    rd = build_root_system(*key)
+    n = rd.positive_count
+    rng = random.Random(f"one per pair {key}")
+    for _ in range(200):
+        borel_to_weyl_agrees_with_is_borel(subset_of(rd, (p + n * rng.randrange(2) for p in range(n))))
+    for _ in range(20):
+        w = from_word(rd, [rng.randrange(rd.rank) for _ in range(n)])
+        assert borel_to_weyl_agrees_with_is_borel(apply_element(w, standard_borel(rd)))
+
+
+def borel_to_weyl_agrees_with_is_borel(b):
+    """Whether ``b`` is a Borel, after checking that ``borel_to_weyl`` takes
+    it to an element moving the standard Borel onto it, or refuses it."""
+    rd = b.rd
+    if not is_borel(rd, b):
+        with pytest.raises(ValueError, match="not a Borel root set"):
+            borel_to_weyl(rd, b)
+        return False
+    assert apply_element(borel_to_weyl(rd, b), standard_borel(rd)) == b
+    return True
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)], ids=lambda key: f"{key[0]}{key[1]}")
+def test_one_walker_step_moves_x_to_x_times_s_i(key):
+    rd = build_root_system(*key)
+    std = standard_borel(rd)
+    for x in weyl_group(rd):
+        b = apply_element(x, std)
+        for i in range(rd.rank):
+            root = x.perm[rd.simple_root_index(i)]
+            borels, nodes, end = walk_borel(rd, b, x, root.__eq__, b.indices.__ne__)
+            want = x * simple_reflection(rd, i)
+            assert nodes == [i] and borels == [b, apply_element(want, std)]
+            step = 1 if root < rd.positive_count else -1  # x(alpha_i) positive: x s_i is longer
+            assert end == want and end.length == want.length == x.length + step
