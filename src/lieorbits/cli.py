@@ -3,9 +3,10 @@ dispatch to the library, and emit text, JSON or DOT.
 
 Node indices are 1-based on the command line and 0-based inside the
 library; the conversion happens exactly here.  Exit codes: 0 success;
-1 for a parse error, a ``ValueError`` from the library (such as the Weyl
-group size cap, or a degree vector whose length does not match the marks
-of P) or a ``ConsistencyError``; 2 for a domain refusal.
+1 for a parse error, a ``ValueError`` from the library (such as an orbit
+table whose walk of W/W_P' passes the ``LIE_MAX_WEYL`` cap on weights, or a
+degree vector whose length does not match the marks of P) or a
+``ConsistencyError``; 2 for a domain refusal.
 """
 
 from __future__ import annotations

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Iterable, Optional
 
 from .parabolic import (
+    ConsistencyError,
     RootSubset,
     apply_element,
     contains_borel,
@@ -26,7 +27,13 @@ from .rootsys import (
     diagram_components_after_removal,
     involution_i,
 )
-from .weyl import WeylElement, double_coset_orbits
+from .weyl import (
+    WeylElement,
+    double_coset_minimum,
+    double_coset_orbits,
+    longest_element,
+    weyl_order,
+)
 
 
 class DomainRefusal(ValueError):
@@ -68,25 +75,19 @@ def is_dense_orbit(
     Decided by whether ``p & -w(p')`` contains a Borel.  With
     ``cross_check`` the equivalent orbit characterisation (``w`` lies in
     the longest element's coset orbit) is computed as well and the two are
-    asserted to agree.
+    asserted to agree: ``w`` and the longest element are each reduced to
+    the minimal element of their double coset, and the two compared.
     """
+    p_nodes, pprime_nodes = rd.check_nodes(p_nodes), rd.check_nodes(pprime_nodes)
     p = standard_parabolic_set(rd, p_nodes)
     moved = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
     dense = contains_borel(rd, p & moved.negated()) is not None
     if cross_check:
-        from .weyl import longest_element
-
+        left = weyl_generators(rd, p_nodes)
+        right = weyl_generators(rd, pprime_nodes)
         w0 = longest_element(rd)
-        orbit = next(
-            o
-            for o in double_coset_orbits(
-                rd,
-                weyl_generators(rd, p_nodes),
-                weyl_generators(rd, pprime_nodes),
-            )
-            if w0 in o.members
-        )
-        if (w in orbit.members) != dense:
+        same = double_coset_minimum(w, left, right) == double_coset_minimum(w0, left, right)
+        if same != dense:
             raise AssertionError(
                 "density characterisations disagree for "
                 f"w={w.reduced_word()}, p={sorted(p_nodes)}, "
@@ -140,6 +141,9 @@ def orbit_table(
         )
     if sum(1 for o in out if o.dense) != 1:
         raise AssertionError("expected exactly one dense orbit")
+    sizes, order = sum(o.size for o in out), weyl_order(rd.lie_type, rd.rank)
+    if sizes != order:
+        raise ConsistencyError("orbit sizes do not sum to |W|", sizes=sizes, order=order)
     out.sort(key=lambda o: (o.dimension, o.w.length, o.w.perm))
     return out
 
@@ -158,8 +162,9 @@ def complement_codim_ge2(
 def complement_min_codim(
     rd: RootDatum, p_nodes: Iterable[int], pprime_nodes: Iterable[int]
 ) -> Optional[int]:
-    """Brute-force codimension of the dense orbit's complement, from the
-    full orbit enumeration; None when every orbit is dense."""
+    """Codimension of the dense orbit's complement, read off the orbit
+    table (the check on the diagram test ``complement_codim_ge2``); None
+    when every orbit is dense."""
     p_nodes, pprime_nodes = rd.check_nodes(p_nodes), rd.check_nodes(pprime_nodes)
     total = quotient_dimension(rd, p_nodes)
     dims = [o.dimension for o in orbit_table(rd, p_nodes, pprime_nodes) if not o.dense]

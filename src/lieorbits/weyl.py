@@ -1,17 +1,25 @@
 """Weyl group elements acting on the root list, Bruhat order, double cosets.
 
 An element is the permutation it induces on the ambient root list; words
-are recovered from the permutation on demand.
+are recovered from the permutation on demand.  Double cosets are read off
+the W-orbit of a weight in fundamental-weight coordinates, so W itself is
+never enumerated; ``weyl_group`` does that, and only tests call it.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cache, partial
+from math import factorial, prod
 from typing import Iterable, Sequence
 
-from .rootsys import Root, RootDatum, longest_element_perm
+from .rootsys import (
+    Root,
+    RootDatum,
+    diagram_components_after_removal,
+    longest_element_perm,
+)
 
 DEFAULT_MAX_WEYL = 10**6
 MAX_WEYL_ENV = "LIE_MAX_WEYL"
@@ -133,9 +141,11 @@ def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
     return True
 
 
-@lru_cache(maxsize=None)
 def weyl_group(rd: RootDatum) -> tuple[WeylElement, ...]:
-    """Every element, by breadth-first closure; capped by LIE_MAX_WEYL."""
+    """Every element, by breadth-first closure; capped by LIE_MAX_WEYL.
+
+    A test oracle: nothing in the library enumerates W.
+    """
     cap = _max_weyl()
     gens = [simple_reflection(rd, i) for i in range(rd.rank)]
     e = identity(rd)
@@ -157,6 +167,61 @@ def weyl_group(rd: RootDatum) -> tuple[WeylElement, ...]:
     return tuple(sorted(seen.values(), key=lambda w: (w.length, w.perm)))
 
 
+_EXCEPTIONAL_ORDERS = {
+    ("E", 6): 51840,
+    ("E", 7): 2903040,
+    ("E", 8): 696729600,
+    ("F", 4): 1152,
+    ("G", 2): 12,
+}
+
+
+def weyl_order(lie_type: str, rank: int) -> int:
+    """|W| of a simple type, from the classical formulas."""
+    if lie_type == "A":
+        return factorial(rank + 1)
+    if lie_type in ("B", "C"):
+        return 2**rank * factorial(rank)
+    if lie_type == "D":
+        return 2 ** (rank - 1) * factorial(rank)
+    return _EXCEPTIONAL_ORDERS[lie_type, rank]
+
+
+def parabolic_order(rd: RootDatum, nodes: Iterable[int]) -> int:
+    """Order of the subgroup generated by the simple reflections of ``nodes``:
+    the product of |W| over the components of their subdiagram."""
+    removed = frozenset(range(rd.rank)) - rd.check_nodes(nodes)
+    return prod(
+        weyl_order(c.lie_type, c.rank)
+        for c in diagram_components_after_removal(rd, removed)
+    )
+
+
+def double_coset_minimum(
+    w: WeylElement, left: Iterable[int], right: Iterable[int]
+) -> WeylElement:
+    """The minimal element of ``W_left · w · W_right``, by stripping left
+    descents in ``left`` and right descents in ``right`` while there are any;
+    the element with neither is unique in its double coset."""
+    rd = w.rd
+    refl = rd.reflection_perms()
+    n = rd.positive_count
+    lefts = [(i, rd.simple_root_index(i)) for i in sorted(rd.check_nodes(left))]
+    rights = [(j, rd.simple_root_index(j)) for j in sorted(rd.check_nodes(right))]
+    perm, length = w.perm, w.length
+    while True:
+        # s_i is a left descent when w^-1(alpha_i) < 0, a right one when w(alpha_i) < 0
+        i = next((i for i, a in lefts if perm.index(a) >= n), None)
+        if i is not None:
+            perm = tuple(map(refl[i].__getitem__, perm))
+        else:
+            j = next((j for j, a in rights if perm[a] >= n), None)
+            if j is None:
+                return WeylElement(rd, perm, length)
+            perm = tuple(map(perm.__getitem__, refl[j]))
+        length -= 1
+
+
 @dataclass(frozen=True)
 class CosetOrbit:
     """One orbit of W under left/right multiplication by two node sets.
@@ -167,13 +232,28 @@ class CosetOrbit:
     """
 
     representative: WeylElement
-    members: frozenset[WeylElement]
+    size: int
     left_nodes: frozenset[int]
     right_nodes: frozenset[int]
 
     @property
-    def size(self) -> int:
-        return len(self.members)
+    def members(self) -> frozenset[WeylElement]:
+        """Every element of the orbit, by a breadth-first search from the
+        representative that stays inside the orbit."""
+        rd = self.representative.rd
+        lgens = [simple_reflection(rd, i) for i in sorted(self.left_nodes)]
+        rgens = [simple_reflection(rd, i) for i in sorted(self.right_nodes)]
+        seen = {self.representative}
+        frontier = [self.representative]
+        while frontier:
+            fresh = []
+            for g in frontier:
+                for nxt in [s * g for s in lgens] + [g * s for s in rgens]:
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        fresh.append(nxt)
+            frontier = fresh
+        return frozenset(seen)
 
 
 def double_coset_orbits(
@@ -181,36 +261,59 @@ def double_coset_orbits(
     p_nodes: Iterable[int],
     pprime_nodes: Iterable[int],
 ) -> list[CosetOrbit]:
-    """Partition W into W(P)-left x W(P')-right orbits.
+    """Partition W into W(P)-left x W(P')-right orbits, without building W.
 
-    The node sets are the generator indices of the two reflection subgroups.
-    Orbits come back sorted by their minimal-length representative.
+    The node sets I and J are the generator indices of the two reflection
+    subgroups.  The weight ``lam`` = sum of the fundamental weights outside
+    J has stabiliser W_J, so the cosets w·W_J are the weights of the orbit
+    W·lam, and each double coset W_I·w·W_J holds exactly one I-dominant
+    weight ``mu`` (``mu[i] >= 0`` for i in I).  The orbit is walked level by
+    level in fundamental-weight coordinates; LIE_MAX_WEYL caps the weights
+    visited.  For each I-dominant ``mu`` the descent walk back to ``lam``
+    spells the double coset's minimal element, and the size is
+    |W_I|·|W_J| / |W_K| with K the nodes of I where ``mu`` vanishes
+    (Kilmoyer).  Orbits come back sorted by their minimal-length
+    representative.
     """
-    left = frozenset(p_nodes)
-    right = frozenset(pprime_nodes)
-    rd.check_nodes(left | right)
-    everyone = weyl_group(rd)
-    lgens = [simple_reflection(rd, i) for i in sorted(left)]
-    rgens = [simple_reflection(rd, i) for i in sorted(right)]
-    unvisited = {w.perm: w for w in everyone}
+    left = rd.check_nodes(p_nodes)
+    right = rd.check_nodes(pprime_nodes)
+    rank = rd.rank
+    # column i of the Cartan matrix is alpha_i in fundamental-weight
+    # coordinates; s_i only changes the coordinates where it is nonzero
+    alphas = [
+        [(j, row[i]) for j, row in enumerate(rd.cartan) if row[i]] for i in range(rank)
+    ]
+
+    def reflect(mu: tuple[int, ...], i: int) -> tuple[int, ...]:
+        c, out = mu[i], list(mu)
+        for j, a in alphas[i]:
+            out[j] -= c * a
+        return tuple(out)
+
+    lam = tuple(0 if j in right else 1 for j in range(rank))
+    cap = _max_weyl()
+    visited = 0
+    level, dominant = {lam}, []
+    while level:
+        visited += len(level)
+        if visited > cap:
+            raise ValueError(
+                f"W-orbit of the weight larger than cap {cap}; raise {MAX_WEYL_ENV}"
+            )
+        dominant += [mu for mu in level if all(mu[i] >= 0 for i in left)]
+        level = {reflect(mu, i) for mu in level for i in range(rank) if mu[i] > 0}
+
+    order = cache(partial(parabolic_order, rd))
+    both = order(left) * order(right)
     orbits = []
-    for w in everyone:
-        if w.perm not in unvisited:
-            continue
-        members = {w}
-        frontier = [w]
-        del unvisited[w.perm]
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for nxt in [s * g for s in lgens] + [g * s for s in rgens]:
-                    if nxt.perm in unvisited:
-                        del unvisited[nxt.perm]
-                        members.add(nxt)
-                        fresh.append(nxt)
-            frontier = fresh
-        rep = min(members, key=lambda g: (g.length, g.perm))
-        orbits.append(CosetOrbit(rep, frozenset(members), left, right))
+    for mu in dominant:
+        size = both // order(frozenset(i for i in left if mu[i] == 0))
+        word = []
+        while mu != lam:
+            i = next(i for i, c in enumerate(mu) if c < 0)
+            mu = reflect(mu, i)
+            word.append(i)
+        orbits.append(CosetOrbit(from_word(rd, word), size, left, right))
     orbits.sort(key=lambda o: (o.representative.length, o.representative.perm))
     return orbits
 

@@ -92,5 +92,21 @@ def test_leading_negative_degrees_read_as_a_value(command, degrees):
     assert {**spaced, "argv": None} == {**abbreviated, "argv": None} == {**glued, "argv": None}
 
 
+@pytest.mark.parametrize(
+    "lie_type, rank, p, pprime, dim, order",
+    [("E", 8, "8", "8", 57, 696729600), ("E", 7, "1", "7", 33, 2903040)],
+    ids=["E8", "E7"],
+)
+def test_exceptional_orbit_tables_answer(lie_type, rank, p, pprime, dim, order):
+    # |W(E7)| and |W(E8)| are past the default Weyl cap; the orbit of the
+    # weight that the table walks is not
+    t = transcript(["orbits", "--type", lie_type, "--rank", str(rank), "--p", p, "--pprime", pprime])
+    assert (t["exit"], t["stderr"]) == (0, "")
+    header, *rows = t["stdout"].splitlines()
+    assert header == f"dim G/P = {dim}; {len(rows)} orbits"
+    assert sum(int(row.split()[3]) for row in rows) == order
+    assert sum(row.endswith("(dense)") for row in rows) == 1
+
+
 if __name__ == "__main__":
     write_golden(GOLDEN, cli_argvs())

@@ -3,6 +3,7 @@ and nilradical filtrations."""
 
 from __future__ import annotations
 
+import dataclasses
 from itertools import combinations
 
 import pytest
@@ -96,6 +97,7 @@ def test_complement_min_codim_takes_one_shot_iterables():
     a3 = build_root_system("A", 3)
     assert complement_min_codim(a3, iter([0]), [2]) == 1
     assert complement_min_codim(a3, iter([0]), iter([2])) == 1
+    assert not is_dense_orbit(a3, identity(a3), iter([0]), iter([2]), cross_check=True)
 
 
 def test_codim_criterion_equals_brute_force():
@@ -203,6 +205,36 @@ def test_nilradical_layers_partition_and_lower():
             for i in nf.layers[0].indices:
                 for j in nil.indices:
                     assert rd.sum_index(i, j) is None
+
+
+def test_orbit_queries_never_enumerate_the_group(monkeypatch):
+    import lieorbits.weyl
+
+    def refuse(rd):
+        raise AssertionError("W enumerated")
+
+    monkeypatch.setattr(lieorbits.weyl, "weyl_group", refuse)
+    rd = build_root_system("D", 4)
+    w0 = longest_element(rd)
+    for p, pp in [({0}, {1}), ({1}, {0, 2}), ({0, 1, 2, 3}, {3})]:
+        assert sum(1 for o in orbit_table(rd, p, pp) if o.dense) == 1
+        complement_min_codim(rd, p, pp)
+        assert is_dense_orbit(rd, w0, p, pp, cross_check=True)
+
+
+def test_orbit_table_checks_sizes_sum_to_group_order(monkeypatch):
+    import lieorbits.orbits
+    from lieorbits.parabolic import ConsistencyError
+
+    real = lieorbits.orbits.double_coset_orbits
+
+    def one_short(rd, left, right):
+        first, *rest = real(rd, left, right)
+        return [dataclasses.replace(first, size=first.size - 1), *rest]
+
+    monkeypatch.setattr(lieorbits.orbits, "double_coset_orbits", one_short)
+    with pytest.raises(ConsistencyError, match="sum to"):
+        orbit_table(build_root_system("A", 3), {0}, {2})
 
 
 def test_orbit_table_json_shape():

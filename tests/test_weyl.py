@@ -1,22 +1,28 @@
-"""Weyl element arithmetic, Bruhat order and double-coset enumeration."""
+"""Weyl element arithmetic, Bruhat order and double cosets, checked against
+the enumerated group on small ranks."""
 
 from __future__ import annotations
 
 import random
+from itertools import combinations
 
 import pytest
 
 from lieorbits.rootsys import Root, RootDatum, build_root_system, cartan_matrix, generate_roots
+from lieorbits.orbits import orbit_table
 from lieorbits.weyl import (
     act_on_root,
     bruhat_leq,
+    double_coset_minimum,
     double_coset_orbits,
     from_word,
     identity,
     longest_element,
+    parabolic_order,
     permutation_to_word,
     simple_reflection,
     weyl_group,
+    weyl_order,
 )
 
 WEYL_ORDERS = {("A", 2): 6, ("A", 3): 24, ("C", 2): 8, ("G", 2): 12, ("B", 3): 48}
@@ -227,6 +233,101 @@ def test_weyl_cap_is_enforced(monkeypatch):
     fresh = RootDatum("A", 3, cartan, generate_roots(cartan))
     with pytest.raises(ValueError, match="LIE_MAX_WEYL"):
         weyl_group(fresh)
+
+
+def test_orbit_table_cap_is_enforced(monkeypatch):
+    # P' = B gives the regular weight rho, whose orbit is all 24 elements of A3
+    rd = build_root_system("A", 3)
+    monkeypatch.setenv("LIE_MAX_WEYL", "10")
+    with pytest.raises(ValueError, match="LIE_MAX_WEYL"):
+        orbit_table(rd, {0}, {0, 1, 2})
+    # the cap counts the weights the walk visits: W/W_J has 12 of them here
+    monkeypatch.setenv("LIE_MAX_WEYL", "12")
+    assert sum(o.size for o in double_coset_orbits(rd, {1, 2}, {0})) == 24
+    monkeypatch.setenv("LIE_MAX_WEYL", "11")
+    with pytest.raises(ValueError, match="LIE_MAX_WEYL"):
+        double_coset_orbits(rd, {1, 2}, {0})
+
+
+def all_subsets(rank):
+    return [frozenset(c) for k in range(rank + 1) for c in combinations(range(rank), k)]
+
+
+def check_partition(rd, group, left, right, rng):
+    """The orbits' members partition W, each orbit's size counts its members
+    and its representative is the least member, which ``double_coset_minimum``
+    reaches from a sample of the members."""
+    orbits = double_coset_orbits(rd, left, right)
+    seen = set()
+    for o in orbits:
+        members = o.members
+        assert o.size == len(members)
+        assert o.representative == min(members, key=lambda g: (g.length, g.perm))
+        assert seen.isdisjoint(members)
+        seen |= members
+        sample = rng.sample(sorted(members, key=lambda g: g.perm), min(len(members), 20))
+        assert all(double_coset_minimum(g, left, right) == o.representative for g in sample)
+    assert seen == set(group)
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("B", 4), ("C", 2), ("C", 3), ("D", 4), ("G", 2)],
+    ids=lambda key: f"{key[0]}{key[1]}",
+)
+def test_double_cosets_partition_the_group(key):
+    rd = build_root_system(*key)
+    group = weyl_group(rd)
+    rng = random.Random(f"{key}")
+    for left in all_subsets(rd.rank):
+        for right in all_subsets(rd.rank):
+            check_partition(rd, group, left, right, rng)
+
+
+@pytest.mark.parametrize("key, count", [(("F", 4), 8), (("E", 6), 1)], ids=["F4", "E6"])
+def test_double_cosets_partition_the_group_seeded(key, count):
+    rd = build_root_system(*key)
+    group = weyl_group(rd)
+    rng = random.Random(f"{key}")
+    for _ in range(count):
+        left = frozenset(rng.sample(range(rd.rank), rng.randrange(1, rd.rank)))
+        right = frozenset(rng.sample(range(rd.rank), rng.randrange(1, rd.rank)))
+        check_partition(rd, group, left, right, rng)
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_double_coset_sizes_sum_to_the_order_on_e7_e8(rank):
+    rd = build_root_system("E", rank)
+    rng = random.Random(f"E{rank}")
+    # on E8 J misses node 1 or 8, whose fundamental weights have the two
+    # smallest orbits (2160 and 240 weights)
+    misses = [[rng.randrange(rank)] for _ in range(3)] if rank == 7 else [[0], [7], [0, 7]]
+    for missed in misses:
+        left = frozenset(range(rank)) - set(rng.sample(range(rank), 2))
+        right = frozenset(range(rank)) - set(missed)
+        orbits = double_coset_orbits(rd, left, right)
+        assert sum(o.size for o in orbits) == weyl_order("E", rank)
+        reps = [o.representative for o in orbits]
+        assert len(set(reps)) == len(reps)
+        assert all(double_coset_minimum(w, left, right) == w for w in reps)
+
+
+def test_e8_two_roots_have_five_relative_positions():
+    # P = P' marked at node 8 stabilises the highest root theta, W_J = W(E7);
+    # the roots beta with <beta, theta> = 2, 1, 0, -1, -2 number 1, 56, 126,
+    # 56 and 1, and W(E7) is transitive on each set
+    rd = build_root_system("E", 8)
+    rest = frozenset(range(7))
+    orbits = double_coset_orbits(rd, rest, rest)
+    assert sorted(o.size for o in orbits) == [weyl_order("E", 7) * k for k in (1, 1, 56, 56, 126)]
+
+
+def test_parabolic_order_of_all_nodes_is_the_group_order():
+    for key, order in WEYL_ORDERS.items():
+        rd = build_root_system(*key)
+        assert parabolic_order(rd, range(rd.rank)) == weyl_order(*key) == order
+        assert len(weyl_group(rd)) == order
+    assert parabolic_order(build_root_system("A", 3), ()) == 1
 
 
 def test_mixed_datum_operations_rejected():
