@@ -3,20 +3,18 @@ parabolic orbit analysis, curve-class arithmetic, and Schubert variety
 desingularization towers."""
 
 from .rootsys import (
+    ConsistencyError,
     Root,
     RootDatum,
     build_root_system,
     cartan_matrix,
-    cartan_pairing,
     diagram_components_after_removal,
     dynkin_dot,
     involution_i,
-    root_sum,
 )
 from .weyl import (
     CosetOrbit,
     WeylElement,
-    act_on_root,
     bruhat_leq,
     double_coset_orbits,
     from_word,
@@ -26,18 +24,14 @@ from .weyl import (
     weyl_group,
 )
 from .parabolic import (
-    ConsistencyError,
     ParabolicSequence,
     RootSubset,
-    borel_chain,
     contains_borel,
     max_parabolic_pair,
     next_borels,
-    parabolic_from_nodes,
     parabolic_sequence,
     standard_borel,
     standard_parabolic_set,
-    sum_absorption_holds,
 )
 from .orbits import (
     DomainRefusal,
@@ -59,8 +53,6 @@ from .curves import (
     curve_class,
     decide_smooth_rational_curve,
     hilbert_dimension,
-    lift_feasible,
-    p1_fibration_candidates,
     positivity,
     reduce_positive_class,
     tangent_degree,

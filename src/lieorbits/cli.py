@@ -5,8 +5,8 @@ Node indices are 1-based on the command line and 0-based inside the
 library; the conversion happens exactly here.  Exit codes: 0 success;
 1 for a parse error, a ``ValueError`` from the library (such as an orbit
 table whose walk of W/W_P' passes the ``LIE_MAX_WEYL`` cap on weights, or a
-degree vector whose length does not match the marks of P) or a
-``ConsistencyError``; 2 for a domain refusal.
+degree vector whose length does not match the marks of P) or an internal
+invariant failure (``ConsistencyError``); 2 for a domain refusal.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
-from . import curves, desing, orbits, parabolic, rootsys, weyl
+from . import curves, desing, orbits, rootsys, weyl
 
 
 class ParseExit(Exception):
@@ -362,7 +362,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ParseExit as exc:
         print(str(exc), file=sys.stderr)
         return 1
-    except (ValueError, parabolic.ConsistencyError) as exc:
+    except (ValueError, rootsys.ConsistencyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

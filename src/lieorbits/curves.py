@@ -13,7 +13,12 @@ from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .orbits import DomainRefusal, nilradical_roots, quotient_dimension
-from .rootsys import RootDatum, build_root_system, diagram_components_after_removal
+from .rootsys import (
+    ConsistencyError,
+    RootDatum,
+    build_root_system,
+    diagram_components_after_removal,
+)
 
 
 @dataclass(frozen=True)
@@ -77,7 +82,7 @@ def anticanonical_coefficients(rd: RootDatum, p_nodes: Iterable[int]) -> dict[in
         if j in marked:
             coeffs[j] = m
         elif m != 0:
-            raise AssertionError(
+            raise ConsistencyError(
                 f"c1 pairs nontrivially against unmarked coroot {j + 1}"
             )
     return coeffs
@@ -121,52 +126,6 @@ def hilbert_dimension(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> i
     if total == 0:
         raise DomainRefusal("G/P is a point; it carries no curve")
     return tangent_degree(rd, marked, c) + total - 3
-
-
-@dataclass(frozen=True)
-class FibrationCandidate:
-    """A marked node whose removal exhibits G/P as a line-bundle of
-    projective lines over the smaller quotient."""
-
-    node: int
-    target_nodes: frozenset[int]
-    degree_coefficients: tuple[tuple[int, int], ...]  # (marked node, weight)
-
-    def relative_degree(self, c: CurveClass) -> int:
-        return sum(w * c.degree(j) for j, w in self.degree_coefficients)
-
-    def to_json(self) -> dict:
-        return {
-            "node": self.node + 1,
-            "target": sorted(j + 1 for j in self.target_nodes),
-            "degree_coefficients": {
-                str(j + 1): w for j, w in self.degree_coefficients
-            },
-        }
-
-
-def p1_fibration_candidates(
-    rd: RootDatum, p_nodes: Iterable[int]
-) -> list[FibrationCandidate]:
-    """Marked nodes all of whose neighbours are marked, with at most two
-    neighbours; dropping such a node fibres G/P in projective lines over
-    the parabolic marked by the rest.
-
-    The relative degree of a class is its pairing with the dropped simple
-    root, returned as coefficients over the marked nodes.
-    """
-    marked = rd.check_nodes(p_nodes)
-    adj = rd.adjacency()
-    out = []
-    for m in sorted(marked):
-        nbrs = adj[m]
-        if len(nbrs) <= 2 and all(v in marked for v in nbrs):
-            alpha = rd.roots[rd.simple_root_index(m)]
-            coeffs = tuple(
-                (j, rd.pairing(alpha.coords, j)) for j in sorted(marked)
-            )
-            out.append(FibrationCandidate(m, marked - {m}, coeffs))
-    return out
 
 
 @dataclass(frozen=True)
@@ -226,17 +185,6 @@ def reduce_positive_class(
             )
         )
     return factors
-
-
-def lift_feasible(d: int, x: int) -> tuple[bool, bool]:
-    """Numeric conditions for lifting through a rational ruled surface with
-    splitting exponent ``x``: relative degree ``d`` lifts iff it matches
-    the parity of ``x`` and is at least ``x``; a smooth lift further needs
-    ``d > 0``."""
-    if d < 0 or x < 0:
-        raise ValueError("relative degree and splitting exponent must be >= 0")
-    liftable = (d - x) % 2 == 0 and d >= x
-    return liftable, liftable and d > 0
 
 
 @lru_cache(maxsize=None)

@@ -88,7 +88,7 @@ def is_dense_orbit(
         w0 = longest_element(rd)
         same = double_coset_minimum(w, left, right) == double_coset_minimum(w0, left, right)
         if same != dense:
-            raise AssertionError(
+            raise ConsistencyError(
                 "density characterisations disagree for "
                 f"w={w.reduced_word()}, p={sorted(p_nodes)}, "
                 f"p'={sorted(pprime_nodes)}"
@@ -140,7 +140,7 @@ def orbit_table(
             )
         )
     if sum(1 for o in out if o.dense) != 1:
-        raise AssertionError("expected exactly one dense orbit")
+        raise ConsistencyError("expected exactly one dense orbit")
     sizes, order = sum(o.size for o in out), weyl_order(rd.lie_type, rd.rank)
     if sizes != order:
         raise ConsistencyError("orbit sizes do not sum to |W|", sizes=sizes, order=order)
@@ -281,7 +281,7 @@ def nilradical_filtration(
             )
         }
         if not layer:
-            raise AssertionError("central filtration stalled; nilradical not nilpotent?")
+            raise ConsistencyError("central filtration stalled; nilradical not nilpotent?")
         layers.append(subset_of(rd, layer))
         remaining -= layer
     return NilradicalFiltration(tuple(layers))

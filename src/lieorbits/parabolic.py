@@ -11,22 +11,13 @@ Cartan part is implicit and never stored.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence
+from typing import Callable, Iterable, Optional
 
-from .rootsys import RootDatum
+from .rootsys import ConsistencyError, RootDatum
 from .weyl import WeylElement, identity
 
 
-class ConsistencyError(RuntimeError):
-    """An internal invariant failed; carries the offending data."""
-
-    def __init__(self, message: str, **trace):
-        detail = "; ".join(f"{k}={v}" for k, v in sorted(trace.items()))
-        super().__init__(f"{message} [{detail}]" if detail else message)
-        self.trace = trace
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class RootSubset:
     """A set of root indices over a fixed root datum."""
 
@@ -38,16 +29,6 @@ class RootSubset:
         if self.indices and (min(self.indices) < 0 or max(self.indices) >= n):
             bad = sorted(i for i in self.indices if not 0 <= i < n)
             raise ValueError(f"root indices out of range: {bad}")
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RootSubset)
-            and self.rd is other.rd
-            and self.indices == other.indices
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.rd), self.indices))
 
     def __contains__(self, idx: int) -> bool:
         return idx in self.indices
@@ -81,10 +62,6 @@ class RootSubset:
 
     def to_json(self) -> list[list[int]]:
         return [list(c) for c in self.coords()]
-
-    @classmethod
-    def from_json(cls, rd: RootDatum, data: Sequence[Sequence[int]]) -> "RootSubset":
-        return cls(rd, frozenset(rd.root_index[tuple(c)] for c in data))
 
 
 def subset_of(rd: RootDatum, indices: Iterable[int]) -> RootSubset:
@@ -163,10 +140,6 @@ def is_borel(rd: RootDatum, s: RootSubset) -> bool:
     return _one_per_pair(rd, s) and is_closed(rd, s)
 
 
-def is_parabolic(rd: RootDatum, s: RootSubset) -> bool:
-    return is_closed(rd, s) and is_covering(rd, s)
-
-
 def walk_borel(
     rd: RootDatum,
     b: RootSubset,
@@ -229,16 +202,6 @@ def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
     return tuple(w.perm[rd.simple_root_index(i)] for i in range(rd.rank))
 
 
-def parabolic_from_nodes(rd: RootDatum, sigma: Iterable[int], b: RootSubset) -> RootSubset:
-    """Parabolic over ``b`` marked by ``sigma``: keep ``b`` and adjoin the
-    negatives of every root that is a sum of unmarked simple roots of ``b``,
-    i.e. the standard one moved by the element taking the standard Borel
-    to ``b``."""
-    std = standard_parabolic_set(rd, sigma)
-    w = borel_to_weyl(rd, b)
-    return apply_element(w, std) if w.length else std
-
-
 def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
     """Marked nodes of a parabolic relative to a contained Borel."""
     if not b <= p:
@@ -249,14 +212,11 @@ def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
     )
 
 
-def contains_borel(
-    rd: RootDatum, s: RootSubset, reference: Optional[RootSubset] = None
-) -> Optional[RootSubset]:
+def contains_borel(rd: RootDatum, s: RootSubset) -> Optional[RootSubset]:
     """A Borel inside a closed subset, or None when none fits.
 
-    For pairs present with both signs, the sign lying in ``reference`` is
-    taken when one is supplied, else the positive sign; the one-sided part
-    is forced.
+    For pairs present with both signs the positive sign is taken; the
+    one-sided part is forced.
     """
     witness = closed_violation(rd, s)
     if witness is not None:
@@ -270,14 +230,7 @@ def contains_borel(
     chosen = set()
     for p in range(rd.positive_count):
         n = rd.negative_index(p)
-        has_p, has_n = p in s.indices, n in s.indices
-        if has_p and has_n:
-            if reference is not None:
-                chosen.add(p if p in reference.indices else n)
-            else:
-                chosen.add(p)
-        else:
-            chosen.add(p if has_p else n)
+        chosen.add(p if p in s.indices else n)
     out = RootSubset(rd, frozenset(chosen))
     if not is_borel(rd, out):
         raise ConsistencyError(
@@ -464,19 +417,6 @@ def parabolic_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> Paraboli
     return ParabolicSequence(rd, tuple(borels), tuple(parabolics), terminal, final)
 
 
-def borel_chain(
-    rd: RootDatum,
-    p: RootSubset,
-    b_ref: RootSubset,
-    b_from: RootSubset,
-    b_to: RootSubset,
-) -> list[RootSubset]:
-    """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
-    reflection per step, growing the intersection with ``b_ref`` by exactly
-    one root each time."""
-    return chain_walk(rd, p, b_ref, b_from, b_to)[0]
-
-
 def chain_walk(
     rd: RootDatum,
     p: RootSubset,
@@ -484,7 +424,9 @@ def chain_walk(
     b_from: RootSubset,
     b_to: RootSubset,
 ) -> tuple[list[RootSubset], list[int]]:
-    """The path of :func:`borel_chain` with the node of each step."""
+    """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
+    reflection per step, growing the intersection with ``b_ref`` by exactly
+    one root each time; returned with the node of each step."""
     if not (b_from <= p and b_to <= p):
         raise ValueError("endpoint Borels must lie inside the parabolic")
     if not (b_from & b_ref) <= (b_to & b_ref):
@@ -507,17 +449,3 @@ def chain_walk(
         )
     return borels, nodes
 
-
-def sum_absorption_holds(rd: RootDatum, p: RootSubset) -> bool:
-    """Whenever a root of ``p`` plus a root outside ``p`` lands in ``p``,
-    the inside summand must be one-sided (its negative not in ``p``)."""
-    if not is_parabolic(rd, p):
-        raise ValueError("argument is not a parabolic root set")
-    sums = rd.sum_table()
-    members = p.indices
-    for a in members:
-        if rd.negative_index(a) in members:
-            for o, k in sums[a].items():
-                if o not in members and k in members:
-                    return False
-    return True

@@ -27,6 +27,15 @@ RANK_RULES = {
 }
 
 
+class ConsistencyError(RuntimeError):
+    """An internal invariant failed; carries the offending data."""
+
+    def __init__(self, message: str, **trace):
+        detail = "; ".join(f"{k}={v}" for k, v in sorted(trace.items()))
+        super().__init__(f"{message} [{detail}]" if detail else message)
+        self.trace = trace
+
+
 @dataclass(frozen=True)
 class Root:
     """A root, as integer coefficients over the simple roots."""
@@ -39,10 +48,6 @@ class Root:
     @property
     def height(self) -> int:
         return sum(self.coords)
-
-    @property
-    def is_positive(self) -> bool:
-        return any(c > 0 for c in self.coords)
 
     @cached_property
     def support(self) -> frozenset[int]:
@@ -128,9 +133,9 @@ def generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     )
     for c in seen:
         if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            raise AssertionError(f"mixed-sign vector generated: {c}")
+            raise ConsistencyError(f"mixed-sign vector generated: {c}")
     if 2 * len(positives) != len(seen):
-        raise AssertionError("positives do not account for half the roots")
+        raise ConsistencyError("positives do not account for half the roots")
     return positives + [tuple(-x for x in c) for c in positives]
 
 
@@ -230,7 +235,7 @@ class RootDatum:
                             fresh.append(s[r])
                 frontier = fresh
             if any(row is None for row in rows):
-                raise AssertionError("some root is not conjugate to a simple root")
+                raise ConsistencyError("some root is not conjugate to a simple root")
             self._sums = tuple(rows)
         return self._sums
 
@@ -272,30 +277,6 @@ def build_root_system(lie_type: str, rank: int) -> RootDatum:
     cartan = cartan_matrix(lie_type, rank)
     roots = generate_roots(cartan)
     return RootDatum(lie_type, rank, cartan, roots)
-
-
-def root_sum(rd: RootDatum, gamma: Root, delta: Root) -> Optional[Root]:
-    """``gamma + delta`` as a Root when the sum is again a root, else None."""
-    i, j = rd.index_of(gamma), rd.index_of(delta)
-    k = rd.sum_index(i, j)
-    return rd.roots[k] if k is not None else None
-
-
-def cartan_pairing(rd: RootDatum, lam, j: int, basis: str = "weight") -> int:
-    """Pairing ``<lam, alphacheck_j>``.
-
-    ``lam`` may be a :class:`Root` (simple-root basis) or a plain integer
-    vector whose basis the caller states: ``"weight"`` for fundamental-weight
-    coordinates (the pairing is then the j-th entry) or ``"root"``.
-    """
-    rd.check_nodes((j,))
-    if isinstance(lam, Root):
-        return rd.pairing(lam.coords, j)
-    if basis == "weight":
-        return lam[j]
-    if basis == "root":
-        return rd.pairing(lam, j)
-    raise ValueError(f"unknown basis {basis!r} (expected 'weight' or 'root')")
 
 
 @dataclass(frozen=True)
@@ -354,7 +335,7 @@ def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent
         for perm in permutations(range(k)):
             if _match_relabel(sub, std, perm):
                 return DiagramComponent(t, k, nodes, tuple(zip(nodes, perm)))
-    raise AssertionError(f"subdiagram on nodes {nodes} is not of simple type")
+    raise ConsistencyError(f"subdiagram on nodes {nodes} is not of simple type")
 
 
 def diagram_components_after_removal(
@@ -415,10 +396,10 @@ def involution_i(rd: RootDatum) -> tuple[int, ...]:
         perm.append(rd.node_of_simple(rd.negative_index(img)))
     for a in range(rd.rank):
         if perm[perm[a]] != a:
-            raise AssertionError("-w0 does not induce an involution")
+            raise ConsistencyError("-w0 does not induce an involution")
         for b in range(rd.rank):
             if rd.cartan[perm[a]][perm[b]] != rd.cartan[a][b]:
-                raise AssertionError("-w0 does not preserve the Cartan matrix")
+                raise ConsistencyError("-w0 does not preserve the Cartan matrix")
     return tuple(perm)
 
 

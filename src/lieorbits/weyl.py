@@ -3,7 +3,8 @@
 An element is the permutation it induces on the ambient root list; words
 are recovered from the permutation on demand.  Double cosets are read off
 the W-orbit of a weight in fundamental-weight coordinates, so W itself is
-never enumerated; ``weyl_group`` does that, and only tests call it.
+never enumerated.  ``weyl_group`` does enumerate it; the library never calls
+it, but the tests use it as an oracle and the benchmark's trace wraps it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from math import factorial, prod
 from typing import Iterable, Sequence
 
 from .rootsys import (
-    Root,
+    ConsistencyError,
     RootDatum,
     diagram_components_after_removal,
     longest_element_perm,
@@ -27,16 +28,24 @@ MAX_WEYL_ENV = "LIE_MAX_WEYL"
 
 def _max_weyl() -> int:
     raw = os.environ.get(MAX_WEYL_ENV)
-    return int(raw) if raw else DEFAULT_MAX_WEYL
+    if not raw:
+        return DEFAULT_MAX_WEYL
+    try:
+        cap = int(raw)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"{MAX_WEYL_ENV} must be a positive integer, got {raw!r}")
+    return cap
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WeylElement:
     """A Weyl group element; equality and hashing go through ``perm``."""
 
     rd: RootDatum
     perm: tuple[int, ...]
-    length: int = field(default=-1)
+    length: int = field(default=-1, compare=False)
 
     def __post_init__(self):
         if self.length < 0:
@@ -44,16 +53,6 @@ class WeylElement:
             object.__setattr__(
                 self, "length", sum(1 for p in range(n) if self.perm[p] >= n)
             )
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, WeylElement)
-            and self.rd is other.rd
-            and self.perm == other.perm
-        )
-
-    def __hash__(self) -> int:
-        return hash((id(self.rd), self.perm))
 
     def __repr__(self) -> str:
         word = " ".join(str(i + 1) for i in self.reduced_word()) or "e"
@@ -107,16 +106,11 @@ def from_word(rd: RootDatum, word: Sequence[int]) -> WeylElement:
     return w
 
 
-def act_on_root(w: WeylElement, gamma: Root) -> Root:
-    """Image of a root under the element's permutation action."""
-    return w.rd.roots[w.perm[w.rd.index_of(gamma)]]
-
-
 def longest_element(rd: RootDatum) -> WeylElement:
     """The unique element sending every positive root to a negative one."""
     w = WeylElement(rd, longest_element_perm(rd))
     if w.length != rd.positive_count:
-        raise AssertionError("longest element has wrong length")
+        raise ConsistencyError("longest element has wrong length")
     return w
 
 
@@ -224,36 +218,11 @@ def double_coset_minimum(
 
 @dataclass(frozen=True)
 class CosetOrbit:
-    """One orbit of W under left/right multiplication by two node sets.
-
-    ``left_nodes`` act by left multiplication and ``right_nodes`` by right
-    multiplication, matching the convention that keeps orbit dimension
-    constant on each orbit downstream.
-    """
+    """One double coset W_I·w·W_J: its minimal-length representative and
+    its size."""
 
     representative: WeylElement
     size: int
-    left_nodes: frozenset[int]
-    right_nodes: frozenset[int]
-
-    @property
-    def members(self) -> frozenset[WeylElement]:
-        """Every element of the orbit, by a breadth-first search from the
-        representative that stays inside the orbit."""
-        rd = self.representative.rd
-        lgens = [simple_reflection(rd, i) for i in sorted(self.left_nodes)]
-        rgens = [simple_reflection(rd, i) for i in sorted(self.right_nodes)]
-        seen = {self.representative}
-        frontier = [self.representative]
-        while frontier:
-            fresh = []
-            for g in frontier:
-                for nxt in [s * g for s in lgens] + [g * s for s in rgens]:
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        fresh.append(nxt)
-            frontier = fresh
-        return frozenset(seen)
 
 
 def double_coset_orbits(
@@ -313,7 +282,7 @@ def double_coset_orbits(
             i = next(i for i, c in enumerate(mu) if c < 0)
             mu = reflect(mu, i)
             word.append(i)
-        orbits.append(CosetOrbit(from_word(rd, word), size, left, right))
+        orbits.append(CosetOrbit(from_word(rd, word), size))
     orbits.sort(key=lambda o: (o.representative.length, o.representative.perm))
     return orbits
 

@@ -11,6 +11,8 @@ from __future__ import annotations
 import pytest
 from transcripts import GOLDEN_DIR, check_golden, transcript, write_golden
 
+from lieorbits import orbits
+
 GOLDEN = GOLDEN_DIR / "cli_commands.json"
 
 # (type, rank): node sets in CLI syntax; "" marks no node, so P = G
@@ -106,6 +108,22 @@ def test_exceptional_orbit_tables_answer(lie_type, rank, p, pprime, dim, order):
     assert header == f"dim G/P = {dim}; {len(rows)} orbits"
     assert sum(int(row.split()[3]) for row in rows) == order
     assert sum(row.endswith("(dense)") for row in rows) == 1
+
+
+def test_invariant_failure_is_reported_not_raised(monkeypatch):
+    # with every orbit of dimension 0, none is dense and orbit_table's check fails
+    monkeypatch.setattr(orbits, "orbit_dimension", lambda *args: 0)
+    t = transcript(["orbits", "--type", "A", "--rank", "3", "--p", "1", "--pprime", "2"])
+    assert (t["exit"], t["stdout"]) == (1, "")
+    assert t["stderr"].startswith("error: expected exactly one dense orbit")
+
+
+@pytest.mark.parametrize("cap", ["abc", "-5", "0"])
+def test_weyl_cap_must_be_a_positive_integer(monkeypatch, cap):
+    monkeypatch.setenv("LIE_MAX_WEYL", cap)
+    t = transcript(["orbits", "--type", "A", "--rank", "3", "--p", "1", "--pprime", "2"])
+    assert (t["exit"], t["stdout"]) == (1, "")
+    assert t["stderr"] == f"error: LIE_MAX_WEYL must be a positive integer, got {cap!r}\n"
 
 
 if __name__ == "__main__":

@@ -3,16 +3,17 @@ and the smooth-existence decision."""
 
 from __future__ import annotations
 
+from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
+from oracles import lift_feasible, p1_fibration_candidates
 
 from lieorbits.curves import (
+    anticanonical_coefficients,
     curve_class,
     decide_smooth_rational_curve,
     hilbert_dimension,
-    lift_feasible,
-    p1_fibration_candidates,
     positivity,
     reduce_positive_class,
     tangent_degree,
@@ -121,6 +122,79 @@ def test_hilbert_dimension_refuses_a_point():
         rd = build_root_system(*key)
         with pytest.raises(DomainRefusal, match="point"):
             hilbert_dimension(rd, frozenset(), curve_class(frozenset(), []))
+
+
+# Fano indices of the exceptional G/P_k at nodes 1..rank (maximal parabolics)
+EXCEPTIONAL_FANO = {
+    ("E", 6): (12, 11, 9, 7, 9, 12),
+    ("E", 7): (17, 14, 11, 8, 10, 13, 18),
+    ("E", 8): (23, 17, 13, 9, 11, 14, 19, 29),
+    ("F", 4): (8, 5, 7, 11),
+    ("G", 2): (5, 3),
+}
+
+
+def fano_index(lie_type, n, k):
+    """Classical Fano index of G/P_k, with k the 1-based marked node."""
+    if lie_type == "A":
+        return n + 1
+    if lie_type == "B":
+        return 2 * n - k if k < n else 2 * n
+    if lie_type == "C":
+        return 2 * n - k + 1
+    if lie_type == "D":
+        return 2 * n - k - 1 if k <= n - 2 else 2 * n - 2
+    return EXCEPTIONAL_FANO[lie_type, n][k - 1]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", 5), ("B", 5), ("C", 5), ("D", 6), ("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)],
+    ids=lambda key: f"{key[0]}{key[1]}",
+)
+def test_anticanonical_coefficient_at_a_maximal_parabolic_is_the_fano_index(key):
+    rd = build_root_system(*key)
+    got = [anticanonical_coefficients(rd, {k})[k] for k in range(rd.rank)]
+    assert got == [fano_index(*key, k) for k in range(1, rd.rank + 1)]
+
+
+def long_root_nodes(rd):
+    """Nodes whose simple root is long.  Squared lengths travel along the
+    diagram as |a_j|^2 / |a_i|^2 = <a_j, a_i-check> / <a_i, a_j-check>."""
+    sq = {0: Fraction(1)}
+    frontier = [0]
+    while frontier:
+        i = frontier.pop()
+        for j in range(rd.rank):
+            if j not in sq and rd.cartan[i][j]:
+                sq[j] = sq[i] * Fraction(rd.cartan[i][j], rd.cartan[j][i])
+                frontier.append(j)
+    top = max(sq.values())
+    return [k for k in range(rd.rank) if sq[k] == top]
+
+
+LINE_KEYS = (
+    [("A", 1), ("A", 2), ("A", 5), ("A", 8), ("B", 2), ("B", 3), ("B", 4), ("B", 6)]
+    + [("C", 3), ("C", 4), ("C", 6), ("D", 4), ("D", 5), ("D", 7)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+def test_lines_on_a_long_root_quotient_form_the_neighbour_quotient():
+    # for a long simple root a_k the lines on G/P_k make up G/P_N(k), N(k) the
+    # neighbours of k (Cohen-Cooperstein; Landsberg-Manivel 2003); the
+    # short-root nodes are left out, since their lines are not of this form
+    checked = 0
+    for key in LINE_KEYS:
+        rd = build_root_system(*key)
+        for k in long_root_nodes(rd):
+            nbrs = [j for j in range(rd.rank) if j != k and rd.cartan[k][j]]
+            want = sum(
+                1 for r in rd.roots[: rd.positive_count] if any(r.coords[j] for j in nbrs)
+            )
+            assert hilbert_dimension(rd, {k}, curve_class({k}, [1])) == want, (key, k + 1)
+            checked += 1
+    assert checked == 70  # the other 17 nodes of these types are short
 
 
 def test_p1_fibration_fixtures():

