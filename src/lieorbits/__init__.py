@@ -9,7 +9,6 @@ from .rootsys import (
     build_root_system,
     cartan_matrix,
     diagram_components_after_removal,
-    dynkin_dot,
     involution_i,
 )
 from .weyl import (

@@ -1,12 +1,16 @@
 """Command-line front end: parse group/parabolic/class/word inputs,
 dispatch to the library, and emit text, JSON or DOT.
 
-Node indices are 1-based on the command line and 0-based inside the
-library; the conversion happens exactly here.  Exit codes: 0 success;
-1 for a parse error, a ``ValueError`` from the library (such as an orbit
-table whose walk of W/W_P' passes the ``LIE_MAX_WEYL`` cap on weights, or a
-degree vector whose length does not match the marks of P) or an internal
-invariant failure (``ConsistencyError``); 2 for a domain refusal.
+The CLI owns both ends: it reads 1-based node labels and reflection words
+into the library's 0-based indices, and it renders every result (text, JSON
+and DOT) from the result's 0-based fields.  The library knows no output
+format.  Library messages the CLI can reach (domain refusals and
+degree-vector mismatches) already name nodes 1-based and are printed as
+they are.  Exit codes: 0 success; 1 for a parse error, a ``ValueError``
+from the library (such as an orbit table whose walk of W/W_P' passes the
+``LIE_MAX_WEYL`` cap on weights, or a degree vector whose length does not
+match the marks of P) or an internal invariant failure
+(``ConsistencyError``); 2 for a domain refusal.
 """
 
 from __future__ import annotations
@@ -19,6 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
 from . import curves, desing, orbits, rootsys, weyl
+from .parabolic import sigma_of
 
 
 class ParseExit(Exception):
@@ -62,7 +67,9 @@ def _parse_nodes(raw: str, rank: int, flag: str) -> frozenset[int]:
 
 def _parse_word(raw: str, lie_type: str, rank: int) -> tuple[int, ...]:
     toks = raw.split()
-    if len(toks) == 1 and len(toks[0]) > 1 and toks[0].isdigit():
+    # a lone token of digits is a compact word only while every index is one
+    # digit; from rank 10 on it is a single index
+    if len(toks) == 1 and len(toks[0]) > 1 and toks[0].isdigit() and rank <= 9:
         digits = [int(ch) for ch in toks[0]]
         if lie_type == "A" and sorted(digits) == list(range(1, rank + 2)):
             return weyl.permutation_to_word(digits)
@@ -142,17 +149,48 @@ def parse_query(argv: Sequence[str]) -> Query:
     )
 
 
+def _labels(indices) -> list[int]:
+    """1-based labels of 0-based nodes or reflections, in the given order."""
+    return [i + 1 for i in indices]
+
+
 def _nodes_1based(nodes) -> list[int]:
-    return sorted(i + 1 for i in nodes)
+    return sorted(_labels(nodes))
+
+
+def _word_text(word) -> str:
+    return " ".join(map(str, _labels(word))) or "e"
 
 
 def _emit_json(out: TextIO, payload) -> None:
     out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
+def _dynkin_dot(rd) -> str:
+    """DOT rendering of the Dynkin diagram.  Edge multiplicity is drawn as
+    parallel edges; double and triple edges carry an arrowhead pointing at
+    the short root."""
+    lines = ["graph dynkin {", "  rankdir=LR;", "  node [shape=circle];"]
+    lines += [f"  n{i} [label=\"{i}\"];" for i in range(1, rd.rank + 1)]
+    for i in range(rd.rank):
+        for j in range(i + 1, rd.rank):
+            cij, cji = rd.cartan[i][j], rd.cartan[j][i]
+            if cij == 0:
+                continue
+            mult = max(abs(cij), abs(cji))
+            if mult == 1:
+                lines.append(f"  n{i + 1} -- n{j + 1};")
+            else:
+                # cartan[i][j] = -mult means alpha_i is the short root
+                short, long_ = (i, j) if abs(cij) == mult else (j, i)
+                edge = f"  n{long_ + 1} -- n{short + 1} [dir=forward, arrowhead=normal];"
+                lines += [edge] * mult
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def _root_system(rd, q: Query, p_nodes, out: TextIO) -> None:
     if q.fmt == "dot":
-        out.write(rootsys.dynkin_dot(rd))
+        out.write(_dynkin_dot(rd))
     elif q.fmt == "json":
         _emit_json(
             out,
@@ -175,13 +213,25 @@ def _root_system(rd, q: Query, p_nodes, out: TextIO) -> None:
 def _orbits(rd, q: Query, p_nodes, out: TextIO) -> None:
     table = orbits.orbit_table(rd, p_nodes, q.pprime_nodes)
     if q.fmt == "json":
-        return _emit_json(out, [o.to_json() for o in table])
+        return _emit_json(
+            out,
+            [
+                {
+                    "representative_word": _labels(o.w.reduced_word()),
+                    "dimension": o.dimension,
+                    "size": o.size,
+                    "dense": o.dense,
+                }
+                for o in table
+            ],
+        )
     total = orbits.quotient_dimension(rd, p_nodes)
     out.write(f"dim G/P = {total}; {len(table)} orbits\n")
     for o in table:
-        word = " ".join(str(i) for i in o.to_json()["representative_word"]) or "e"
         star = " (dense)" if o.dense else ""
-        out.write(f"  dim {o.dimension}  size {o.size}  rep [{word}]{star}\n")
+        out.write(
+            f"  dim {o.dimension}  size {o.size}  rep [{_word_text(o.w.reduced_word())}]{star}\n"
+        )
 
 
 def _codim(rd, q: Query, p_nodes, out: TextIO) -> None:
@@ -201,12 +251,22 @@ def _codim(rd, q: Query, p_nodes, out: TextIO) -> None:
 def _levi(rd, q: Query, p_nodes, out: TextIO) -> None:
     lq = orbits.levi_quotient(rd, p_nodes, q.pprime_nodes)
     if q.fmt == "json":
-        return _emit_json(out, lq.to_json())
+        factors = [
+            {
+                "type": f.component.lie_type,
+                "rank": f.component.rank,
+                "nodes": _labels(f.component.nodes),
+                "marked": _nodes_1based(f.marked),
+                "marked_std": _nodes_1based(f.marked_std),
+            }
+            for f in lq.factors
+        ]
+        return _emit_json(out, {"factors": factors, "torus_rank": lq.torus_rank})
     for f in lq.factors:
-        marked = f.to_json()["marked_std"]
+        c = f.component
         out.write(
-            f"  {f.component.lie_type}{f.component.rank} on nodes "
-            f"{f.to_json()['nodes']} marked {marked}\n"
+            f"  {c.lie_type}{c.rank} on nodes {_labels(c.nodes)} "
+            f"marked {_nodes_1based(f.marked_std)}\n"
         )
     out.write(f"  torus rank {lq.torus_rank}\n")
 
@@ -214,7 +274,8 @@ def _levi(rd, q: Query, p_nodes, out: TextIO) -> None:
 def _nilradical(rd, q: Query, p_nodes, out: TextIO) -> None:
     nf = orbits.nilradical_filtration(rd, q.pprime_nodes)
     if q.fmt == "json":
-        return _emit_json(out, nf.to_json())
+        layers = [layer.to_json() for layer in nf.layers]
+        return _emit_json(out, {"layers": layers, "abelian": nf.is_abelian})
     if not nf.layers:
         out.write("empty nilradical\n")
         return
@@ -227,7 +288,25 @@ def _curves(rd, q: Query, p_nodes, out: TextIO) -> None:
     c = curves.curve_class(p_nodes, q.degrees)
     verdict = curves.decide_smooth_rational_curve(rd, p_nodes, c)
     if q.fmt == "json":
-        return _emit_json(out, verdict.to_json())
+        reduction = verdict.reduction
+        return _emit_json(
+            out,
+            {
+                "mor_nonempty": verdict.mor_nonempty,
+                "smooth": verdict.smooth_curve_exists,
+                "exception": verdict.exception_hit,
+                "reduction": None if reduction is None else [
+                    {
+                        "type": f.lie_type,
+                        "rank": f.rank,
+                        "nodes": _labels(f.nodes),
+                        "marked": _labels(f.marked),
+                        "degrees": list(f.restricted.degrees),
+                    }
+                    for f in reduction
+                ],
+            },
+        )
     out.write(
         f"mor_nonempty: {str(verdict.mor_nonempty).lower()}\n"
         f"smooth: {str(verdict.smooth_curve_exists).lower()}\n"
@@ -245,12 +324,52 @@ def _hilbert(rd, q: Query, p_nodes, out: TextIO) -> None:
     out.write(f"{dim}\n")
 
 
+def _tower_dot(rd, t: desing.DesingTower) -> str:
+    """Factor boxes labelled by the sequence steps merged into them and their
+    marked nodes; edges labelled with the fibre dimension of each step."""
+    names = {"p": "P", "pprime": "P'"}
+    lines = ["digraph tower {", "  rankdir=LR;", "  node [shape=box];"]
+    for i, (factor, merged) in enumerate(zip(t.factors, t.origins), start=1):
+        kind, k = merged[0]
+        inner = t.sequence.borels[k - 1][1 if kind == "pprime" else 0]
+        origin = "=".join(f"{names[o]}{n}" for o, n in merged)
+        sigma = _nodes_1based(sigma_of(rd, factor, inner))
+        lines.append(f"  F{i} [label=\"{origin} sigma={sigma}\"];")
+    for i, (factor, junction) in enumerate(zip(t.factors, t.junctions), start=1):
+        lines.append(f"  F{i} -> F{i + 1} [label=\"fibre {len(factor) - len(junction)}\"];")
+    q = _nodes_1based(t.quotient_nodes)
+    lines.append(f"  Q [shape=ellipse, label=\"quotient sigma={q}\"];")
+    fibre = len(t.factors[-1]) - len(t.quotient_parabolic())
+    lines.append(f"  F{len(t.factors)} -> Q [label=\"fibre {fibre}\"];")
+    return "\n".join(lines + ["}"]) + "\n"
+
+
 def _desing(rd, q: Query, p_nodes, out: TextIO) -> None:
     t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
     if q.fmt == "dot":
-        out.write(desing.tower_dot(t))
+        out.write(_tower_dot(rd, t))
     elif q.fmt == "json":
-        _emit_json(out, t.to_json())
+        seq = t.sequence
+        steps = [
+            {
+                "n": n,
+                "sigma_p": _nodes_1based(sigma_of(rd, pn, bn)),
+                "sigma_pprime": _nodes_1based(sigma_of(rd, ppn, bpn)),
+                "borel_union_size": len(bn | bpn),
+            }
+            for n, ((bn, bpn), (pn, ppn)) in enumerate(zip(seq.borels, seq.parabolics), start=1)
+        ]
+        _emit_json(
+            out,
+            {
+                "factors": [f.to_json() for f in t.factors],
+                "junctions": [j.to_json() for j in t.junctions],
+                "base_word": _labels(t.base_word),
+                "quotient": _nodes_1based(t.quotient_nodes),
+                "dimension": desing.tower_dimension(t),
+                "sequence": steps,
+            },
+        )
     else:
         dims = [len(f) for f in t.factors]
         out.write(
@@ -263,9 +382,15 @@ def _refine(rd, q: Query, p_nodes, out: TextIO) -> None:
     t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
     chain = desing.demazure_refinement(rd, t)
     if q.fmt == "json":
-        return _emit_json(out, chain.to_json())
-    word = " ".join(str(i + 1) for i in chain.word) or "e"
-    out.write(f"word [{word}], {len(chain.minimal_factors)} minimal factor(s)\n")
+        return _emit_json(
+            out,
+            {
+                "word": _labels(chain.word),
+                "factors": [f.to_json() for f in chain.minimal_factors],
+                "groups": [list(g) for g in chain.groups],
+            },
+        )
+    out.write(f"word [{_word_text(chain.word)}], {len(chain.minimal_factors)} minimal factor(s)\n")
 
 
 def _smooth(rd, q: Query, p_nodes, out: TextIO) -> None:
@@ -278,10 +403,18 @@ def _smooth(rd, q: Query, p_nodes, out: TextIO) -> None:
 def _minimal(rd, q: Query, p_nodes, out: TextIO) -> None:
     model = desing.minimal_schubert(rd, p_nodes, weyl.from_word(rd, q.word))
     if q.fmt == "json":
-        return _emit_json(out, model.to_json())
+        return _emit_json(
+            out,
+            {
+                "is_minimal": model.is_minimal,
+                "p1_nodes": _nodes_1based(model.p1_nodes),
+                "minimal_model_dimension": model.dimension,
+                "base_word": _labels(model.base_word),
+            },
+        )
     out.write(
         f"is_minimal: {str(model.is_minimal).lower()}\n"
-        f"p1_nodes: {model.to_json()['p1_nodes']}\n"
+        f"p1_nodes: {_nodes_1based(model.p1_nodes)}\n"
         f"minimal_model_dimension: {model.dimension}\n"
     )
 

@@ -139,15 +139,6 @@ class ReducedFactor:
     marked_std: tuple[int, ...]  # labels inside the standard component
     restricted: CurveClass  # keyed by marked_std
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.lie_type,
-            "rank": self.rank,
-            "nodes": [i + 1 for i in self.nodes],
-            "marked": [i + 1 for i in self.marked],
-            "degrees": list(self.restricted.degrees),
-        }
-
 
 def reduce_positive_class(
     rd: RootDatum, p_nodes: Iterable[int], c: CurveClass
@@ -201,18 +192,6 @@ class ExistenceVerdict:
     smooth_curve_exists: bool
     reduction: Optional[tuple[ReducedFactor, ...]]
     exception_hit: Optional[str]  # "P1", "P2" or "P1xP1"
-
-    def to_json(self) -> dict:
-        return {
-            "mor_nonempty": self.mor_nonempty,
-            "smooth": self.smooth_curve_exists,
-            "exception": self.exception_hit,
-            "reduction": (
-                None
-                if self.reduction is None
-                else [f.to_json() for f in self.reduction]
-            ),
-        }
 
 
 def _classify(dim: int) -> str:

@@ -84,16 +84,6 @@ class DesingTower:
     def quotient_parabolic(self) -> RootSubset:
         return standard_parabolic_set(self.rd, self.quotient_nodes)
 
-    def to_json(self) -> dict:
-        return {
-            "factors": [f.to_json() for f in self.factors],
-            "junctions": [j.to_json() for j in self.junctions],
-            "base_word": [i + 1 for i in self.base_word],
-            "quotient": sorted(i + 1 for i in self.quotient_nodes),
-            "dimension": tower_dimension(self),
-            "sequence": self.sequence.step_log(),
-        }
-
 
 def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> DesingTower:
     """Tower of parabolic factors resolving the Schubert variety of ``w``
@@ -163,13 +153,6 @@ class RefinedChain:
     word: tuple[int, ...]
     groups: tuple[tuple[int, int], ...]  # half-open step ranges per factor
     chain_borels: tuple[RootSubset, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "word": [i + 1 for i in self.word],
-            "factors": [f.to_json() for f in self.minimal_factors],
-            "groups": [list(g) for g in self.groups],
-        }
 
 
 def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
@@ -262,14 +245,6 @@ class MinimalModel:
     dimension: int
     base_word: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "is_minimal": self.is_minimal,
-            "p1_nodes": sorted(i + 1 for i in self.p1_nodes),
-            "minimal_model_dimension": self.dimension,
-            "base_word": [i + 1 for i in self.base_word],
-        }
-
 
 def minimal_schubert(
     rd: RootDatum, p_nodes: Iterable[int], w: WeylElement
@@ -291,32 +266,3 @@ def minimal_schubert(
         dim,
         w2.reduced_word(),
     )
-
-
-def tower_dot(t: DesingTower) -> str:
-    """DOT rendering: factor boxes labelled by their marked nodes, edges
-    labelled with the fibre dimension of each junction step."""
-    rd = t.rd
-    seq = t.sequence
-    lines = ["digraph tower {", "  rankdir=LR;", "  node [shape=box];"]
-    for i, factor in enumerate(t.factors):
-        kind, k = t.origins[i][0]
-        inner = seq.borels[k - 1][1] if kind == "pprime" else seq.borels[k - 1][0]
-        sigma = sorted(j + 1 for j in sigma_of(rd, factor, inner))
-        lines.append(
-            f"  F{i + 1} [label=\"{_origin_label(t.origins[i])} sigma={sigma}\"];"
-        )
-    for i, junction in enumerate(t.junctions):
-        fibre = len(t.factors[i]) - len(junction)
-        lines.append(f"  F{i + 1} -> F{i + 2} [label=\"fibre {fibre}\"];")
-    q = sorted(i + 1 for i in t.quotient_nodes)
-    lines.append(f"  Q [shape=ellipse, label=\"quotient sigma={q}\"];")
-    fibre = len(t.factors[-1]) - len(t.quotient_parabolic())
-    lines.append(f"  F{len(t.factors)} -> Q [label=\"fibre {fibre}\"];")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _origin_label(merged: tuple[tuple[str, int], ...]) -> str:
-    names = {"p": "P", "pprime": "P'"}
-    return "=".join(f"{names[kind]}{k}" for kind, k in merged)

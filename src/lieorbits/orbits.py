@@ -101,19 +101,9 @@ class OrbitDescriptor:
     """One orbit: minimal-length representative, dimension, size, density."""
 
     w: WeylElement
-    p_nodes: frozenset[int]
-    pprime_nodes: frozenset[int]
     dimension: int
     size: int
     dense: bool
-
-    def to_json(self) -> dict:
-        return {
-            "representative_word": [i + 1 for i in self.w.reduced_word()],
-            "dimension": self.dimension,
-            "size": self.size,
-            "dense": self.dense,
-        }
 
 
 def orbit_table(
@@ -130,14 +120,7 @@ def orbit_table(
     for orbit in cosets:
         dim = orbit_dimension(rd, orbit.representative, p_nodes, pprime_nodes)
         out.append(
-            OrbitDescriptor(
-                orbit.representative,
-                p_nodes,
-                pprime_nodes,
-                dim,
-                orbit.size,
-                dim == total,
-            )
+            OrbitDescriptor(orbit.representative, dim, orbit.size, dim == total)
         )
     if sum(1 for o in out if o.dense) != 1:
         raise ConsistencyError("expected exactly one dense orbit")
@@ -183,26 +166,11 @@ class LeviFactor:
         relabel = self.component.relabel_map
         return frozenset(relabel[i] for i in self.marked)
 
-    def to_json(self) -> dict:
-        return {
-            "type": self.component.lie_type,
-            "rank": self.component.rank,
-            "nodes": [i + 1 for i in self.component.nodes],
-            "marked": sorted(i + 1 for i in self.marked),
-            "marked_std": sorted(i + 1 for i in self.marked_std),
-        }
-
 
 @dataclass(frozen=True)
 class LeviQuotient:
     factors: tuple[LeviFactor, ...]
     torus_rank: int
-
-    def to_json(self) -> dict:
-        return {
-            "factors": [f.to_json() for f in self.factors],
-            "torus_rank": self.torus_rank,
-        }
 
 
 def levi_quotient(
@@ -240,12 +208,6 @@ class NilradicalFiltration:
     @property
     def is_abelian(self) -> bool:
         return len(self.layers) <= 1
-
-    def to_json(self) -> dict:
-        return {
-            "layers": [layer.to_json() for layer in self.layers],
-            "abelian": self.is_abelian,
-        }
 
 
 def nilradical_roots(rd: RootDatum, pprime_nodes: Iterable[int]) -> RootSubset:

@@ -349,27 +349,10 @@ class ParabolicSequence:
     parabolics whose intersection contains a Borel, plus the aligned Borel
     found inside that intersection."""
 
-    rd: RootDatum
     borels: tuple[tuple[RootSubset, RootSubset], ...]
     parabolics: tuple[tuple[RootSubset, RootSubset], ...]
     terminal_index: int  # 1-based step at which the intersection covers
     final_borel: RootSubset
-
-    def step_log(self) -> list[dict]:
-        """Per-step summary: marked node sets and the size of B_n | B'_n."""
-        out = []
-        for n, ((bn, bpn), (pn, ppn)) in enumerate(
-            zip(self.borels, self.parabolics), start=1
-        ):
-            out.append(
-                {
-                    "n": n,
-                    "sigma_p": sorted(i + 1 for i in sigma_of(self.rd, pn, bn)),
-                    "sigma_pprime": sorted(i + 1 for i in sigma_of(self.rd, ppn, bpn)),
-                    "borel_union_size": len(bn | bpn),
-                }
-            )
-        return out
 
 
 def parabolic_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> ParabolicSequence:
@@ -414,7 +397,7 @@ def parabolic_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> Paraboli
             "aligned Borel breaks the intersection chain",
             final=final.coords(),
         )
-    return ParabolicSequence(rd, tuple(borels), tuple(parabolics), terminal, final)
+    return ParabolicSequence(tuple(borels), tuple(parabolics), terminal, final)
 
 
 def chain_walk(

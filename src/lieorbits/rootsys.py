@@ -193,16 +193,6 @@ class RootDatum:
     def is_positive_index(self, idx: int) -> bool:
         return idx < self.positive_count
 
-    def index_of(self, root: Root) -> int:
-        idx = self.root_index.get(root.coords)
-        if idx is None:
-            raise ValueError(f"{root.coords} is not a root of {self!r}")
-        return idx
-
-    def sum_index(self, i: int, j: int) -> Optional[int]:
-        """Index of ``roots[i] + roots[j]`` when that sum is a root."""
-        return self.sum_table()[i].get(j)
-
     def sum_table(self) -> tuple[dict[int, int], ...]:
         """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
         ``roots[k]``; built on first use.
@@ -401,32 +391,3 @@ def involution_i(rd: RootDatum) -> tuple[int, ...]:
             if rd.cartan[perm[a]][perm[b]] != rd.cartan[a][b]:
                 raise ConsistencyError("-w0 does not preserve the Cartan matrix")
     return tuple(perm)
-
-
-def dynkin_dot(rd: RootDatum) -> str:
-    """DOT rendering of the Dynkin diagram.
-
-    Edge multiplicity is drawn as parallel edges; double and triple edges
-    carry an arrowhead pointing at the short root.
-    """
-    lines = ["graph dynkin {", "  rankdir=LR;", "  node [shape=circle];"]
-    for i in range(rd.rank):
-        lines.append(f"  n{i + 1} [label=\"{i + 1}\"];")
-    for i in range(rd.rank):
-        for j in range(i + 1, rd.rank):
-            cij, cji = rd.cartan[i][j], rd.cartan[j][i]
-            if cij == 0:
-                continue
-            mult = max(abs(cij), abs(cji))
-            if mult == 1:
-                lines.append(f"  n{i + 1} -- n{j + 1};")
-            else:
-                # cartan[i][j] = -mult means alpha_i is the short root
-                short, long_ = (i, j) if abs(cij) == mult else (j, i)
-                for _ in range(mult):
-                    lines.append(
-                        f"  n{long_ + 1} -- n{short + 1} "
-                        f"[dir=forward, arrowhead=normal];"
-                    )
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -1,7 +1,7 @@
 """Reference routines that only the tests call.
 
 Each one re-derives a quantity the library computes another way, or checks
-a property of its results: root sums and pairings from coordinates, the
+a property of its results: root lookups, root sums and pairings, the
 members of a double coset by breadth-first search, parabolics over an
 arbitrary Borel, Borel chains, the P^1-fibration candidates of a quotient
 and the numeric lifting rule through a ruled surface.
@@ -26,10 +26,21 @@ from lieorbits.rootsys import Root, RootDatum
 from lieorbits.weyl import CosetOrbit, WeylElement, simple_reflection
 
 
+def index_of(rd: RootDatum, root: Root) -> int:
+    idx = rd.root_index.get(root.coords)
+    if idx is None:
+        raise ValueError(f"{root.coords} is not a root of {rd!r}")
+    return idx
+
+
+def sum_index(rd: RootDatum, i: int, j: int) -> Optional[int]:
+    """Index of ``roots[i] + roots[j]`` when that sum is a root."""
+    return rd.sum_table()[i].get(j)
+
+
 def root_sum(rd: RootDatum, gamma: Root, delta: Root) -> Optional[Root]:
     """``gamma + delta`` as a Root when the sum is again a root, else None."""
-    i, j = rd.index_of(gamma), rd.index_of(delta)
-    k = rd.sum_index(i, j)
+    k = sum_index(rd, index_of(rd, gamma), index_of(rd, delta))
     return rd.roots[k] if k is not None else None
 
 
@@ -52,7 +63,7 @@ def cartan_pairing(rd: RootDatum, lam, j: int, basis: str = "weight") -> int:
 
 def act_on_root(w: WeylElement, gamma: Root) -> Root:
     """Image of a root under the element's permutation action."""
-    return w.rd.roots[w.perm[w.rd.index_of(gamma)]]
+    return w.rd.roots[w.perm[index_of(w.rd, gamma)]]
 
 
 def coset_members(

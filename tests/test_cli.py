@@ -2,8 +2,12 @@
 ``root-system``, ``orbits``, ``codim``, ``levi``, ``nilradical``, ``curves``
 and ``hilbert``, in every format, with their refusals and parse errors.
 
-Regenerate the golden file from a trusted tree with
-``PYTHONPATH=src python tests/test_cli.py``; the tests only read it.
+A second golden file repeats the non-tower commands on C3, F4 and E6,
+whose DOT arrows, double edges and component relabelling the small types
+never reach.
+
+Regenerate the golden files from a trusted tree with
+``PYTHONPATH=src python tests/test_cli.py``; the tests only read them.
 """
 
 from __future__ import annotations
@@ -14,6 +18,7 @@ from transcripts import GOLDEN_DIR, check_golden, transcript, write_golden
 from lieorbits import orbits
 
 GOLDEN = GOLDEN_DIR / "cli_commands.json"
+GOLDEN_TYPES = GOLDEN_DIR / "cli_types.json"
 
 # (type, rank): node sets in CLI syntax; "" marks no node, so P = G
 MARKS = {
@@ -23,6 +28,14 @@ MARKS = {
     ("D", 4): ["", "2", "1,3,4", "1,2,3,4"],
     ("A", 1): ["", "1"],
     ("D", 3): ["", "1", "2,3"],  # normalised to A3
+}
+# C3's reversed double edge, F4's middle double edge, and E6's involution and
+# relabelled components: levi with P = 1, P' = 2 marks node 6 of an A5 that
+# calls it 5
+TYPE_MARKS = {
+    ("C", 3): ["", "1", "2,3"],
+    ("F", 4): ["", "2", "1,4"],
+    ("E", 6): ["", "1", "2", "1,3,6"],
 }
 PAIRED = ("orbits", "codim", "levi")
 REFUSE_DOT = PAIRED + ("nilradical", "curves", "hilbert")
@@ -38,8 +51,10 @@ def degree_vectors(k):
     return [",".join(v) for v in vectors]
 
 
-def cli_argvs():
-    for (lie_type, rank), marks in MARKS.items():
+def command_argvs(marks_by_type):
+    """root-system in every format, then each non-tower command in text and
+    JSON over every pair of marks and the degree vectors of each mark."""
+    for (lie_type, rank), marks in marks_by_type.items():
         group = ["--type", lie_type, "--rank", str(rank)]
         for fmt in ("text", "json", "dot"):
             yield ["root-system", *group, "--format", fmt]
@@ -57,6 +72,19 @@ def cli_argvs():
         for pp in marks:
             for fmt in ("text", "json"):
                 yield ["nilradical", *group, "--pprime", pp, "--format", fmt]
+
+
+def type_argvs():
+    yield from command_argvs(TYPE_MARKS)
+    # degree 0 at node 1 leaves a D5 on nodes 2..6 whose labelling puts node 6
+    # before node 3, so the reduction lists the degrees as [2, 1]
+    e6 = ["--type", "E", "--rank", "6", "--p", "1,3,6", "--degrees", "0,1,2"]
+    for fmt in ("text", "json"):
+        yield ["curves", *e6, "--format", fmt]
+
+
+def cli_argvs():
+    yield from command_argvs(MARKS)
     a3 = ["--type", "A", "--rank", "3"]
     for command in REFUSE_DOT:
         yield [command, *a3, "--p", "1", "--pprime", "2", "--degrees", "1", "--format", "dot"]
@@ -81,6 +109,10 @@ def cli_argvs():
 
 def test_command_transcripts_match_golden_bytes():
     check_golden(GOLDEN, cli_argvs())
+
+
+def test_command_transcripts_on_c3_f4_e6_match_golden_bytes():
+    check_golden(GOLDEN_TYPES, type_argvs())
 
 
 @pytest.mark.parametrize("command", ["curves", "hilbert"])
@@ -110,6 +142,26 @@ def test_exceptional_orbit_tables_answer(lie_type, rank, p, pprime, dim, order):
     assert sum(row.endswith("(dense)") for row in rows) == 1
 
 
+@pytest.mark.parametrize(
+    "lie_type, rank, word, printed",
+    [("A", 12, "12", "12"), ("B", 10, "10", "10"), ("A", 9, "121", "1 2 1")],
+)
+def test_lone_word_token_is_one_index_from_rank_ten(lie_type, rank, word, printed):
+    t = transcript(["refine", "--type", lie_type, "--rank", str(rank), "--word", word])
+    assert (t["exit"], t["stderr"]) == (0, "")
+    assert t["stdout"].startswith(f"word [{printed}],")
+
+
+@pytest.mark.parametrize(
+    "lie_type, rank, word, index",
+    [("B", 10, "11", 11), ("A", 12, "121", 121)],
+)
+def test_word_index_past_the_rank_is_refused_from_rank_ten(lie_type, rank, word, index):
+    t = transcript(["refine", "--type", lie_type, "--rank", str(rank), "--word", word])
+    assert (t["exit"], t["stdout"]) == (1, "")
+    assert t["stderr"].startswith(f"error: --word: reflection index {index} outside 1..{rank}")
+
+
 def test_invariant_failure_is_reported_not_raised(monkeypatch):
     # with every orbit of dimension 0, none is dense and orbit_table's check fails
     monkeypatch.setattr(orbits, "orbit_dimension", lambda *args: 0)
@@ -128,3 +180,4 @@ def test_weyl_cap_must_be_a_positive_integer(monkeypatch, cap):
 
 if __name__ == "__main__":
     write_golden(GOLDEN, cli_argvs())
+    write_golden(GOLDEN_TYPES, type_argvs())

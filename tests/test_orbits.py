@@ -4,9 +4,12 @@ and nilradical filtrations."""
 from __future__ import annotations
 
 import dataclasses
+import json
 from itertools import combinations
 
 import pytest
+from oracles import sum_index
+from transcripts import transcript
 
 from lieorbits.orbits import (
     DomainRefusal,
@@ -197,14 +200,14 @@ def test_nilradical_layers_partition_and_lower():
             # root sums drop strictly below both summands' layers
             for i in nil.indices:
                 for j in nil.indices:
-                    k = rd.sum_index(i, j)
+                    k = sum_index(rd, i, j)
                     if k is not None:
                         assert k in nil.indices
                         assert level[k] < min(level[i], level[j])
             # the centre absorbs nothing
             for i in nf.layers[0].indices:
                 for j in nil.indices:
-                    assert rd.sum_index(i, j) is None
+                    assert sum_index(rd, i, j) is None
 
 
 def test_orbit_queries_never_enumerate_the_group(monkeypatch):
@@ -238,9 +241,8 @@ def test_orbit_table_checks_sizes_sum_to_group_order(monkeypatch):
 
 
 def test_orbit_table_json_shape():
-    rd = build_root_system("A", 3)
-    table = orbit_table(rd, {0}, {0})
-    payload = [o.to_json() for o in table]
+    argv = ["orbits", "--type", "A", "--rank", "3", "--p", "1", "--pprime", "1", "--format", "json"]
+    payload = json.loads(transcript(argv)["stdout"])
     assert payload[0] == {
         "representative_word": [],
         "dimension": 0,

@@ -72,3 +72,29 @@ def test_test_only_routines_are_not_library_attributes():
     fields = {f.name for f in lieorbits.CosetOrbit.__dataclass_fields__.values()}
     assert fields == {"representative", "size"}
     assert not hasattr(lieorbits.CosetOrbit, "members")
+
+
+def test_root_lookups_that_only_tests_call_are_not_datum_methods():
+    assert not hasattr(lieorbits.RootDatum, "index_of")
+    assert not hasattr(lieorbits.RootDatum, "sum_index")
+
+
+def qualified_functions(body, prefix=""):
+    """Qualified names of the functions and methods defined in ``body``."""
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + node.name
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from qualified_functions(node.body, f"{prefix}{node.name}.")
+
+
+def test_only_the_cli_renders_output():
+    # RootSubset.to_json serialises root coordinates, which carry no node labels
+    renderers = [
+        f"{path.stem}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        if path.name != "cli.py"
+        for name in qualified_functions(ast.parse(path.read_text()).body)
+        if name.rsplit(".", 1)[-1] in ("to_json", "step_log") or name.endswith("_dot")
+    ]
+    assert renderers == ["parabolic.RootSubset.to_json"]
