@@ -329,18 +329,15 @@ def _tower_dot(rd, t: desing.DesingTower) -> str:
     marked nodes; edges labelled with the fibre dimension of each step."""
     names = {"p": "P", "pprime": "P'"}
     lines = ["digraph tower {", "  rankdir=LR;", "  node [shape=box];"]
-    for i, (factor, merged) in enumerate(zip(t.factors, t.origins), start=1):
-        kind, k = merged[0]
-        inner = t.sequence.borels[k - 1][1 if kind == "pprime" else 0]
-        origin = "=".join(f"{names[o]}{n}" for o, n in merged)
-        sigma = _nodes_1based(sigma_of(rd, factor, inner))
+    for i, (factor, pieces) in enumerate(zip(t.factors, t.pieces), start=1):
+        origin = "=".join(f"{names[kind]}{k}" for (kind, k), _, _ in pieces)
+        sigma = _nodes_1based(sigma_of(rd, factor, pieces[0][1]))
         lines.append(f"  F{i} [label=\"{origin} sigma={sigma}\"];")
-    for i, (factor, junction) in enumerate(zip(t.factors, t.junctions), start=1):
-        lines.append(f"  F{i} -> F{i + 1} [label=\"fibre {len(factor) - len(junction)}\"];")
+    for i, fibre in enumerate(t.fibres[:-1], start=1):
+        lines.append(f"  F{i} -> F{i + 1} [label=\"fibre {fibre}\"];")
     q = _nodes_1based(t.quotient_nodes)
     lines.append(f"  Q [shape=ellipse, label=\"quotient sigma={q}\"];")
-    fibre = len(t.factors[-1]) - len(t.quotient_parabolic())
-    lines.append(f"  F{len(t.factors)} -> Q [label=\"fibre {fibre}\"];")
+    lines.append(f"  F{len(t.factors)} -> Q [label=\"fibre {t.fibres[-1]}\"];")
     return "\n".join(lines + ["}"]) + "\n"
 
 

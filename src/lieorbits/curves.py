@@ -9,16 +9,10 @@ n-space meets the tangent bundle in n+1.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Optional, Sequence
 
 from .orbits import DomainRefusal, nilradical_roots, quotient_dimension
-from .rootsys import (
-    ConsistencyError,
-    RootDatum,
-    build_root_system,
-    diagram_components_after_removal,
-)
+from .rootsys import ConsistencyError, RootDatum, diagram_components_after_removal
 
 
 @dataclass(frozen=True)
@@ -178,10 +172,13 @@ def reduce_positive_class(
     return factors
 
 
-@lru_cache(maxsize=None)
-def _factor_dimension(lie_type: str, rank: int, marked_std: tuple[int, ...]) -> int:
-    sub = build_root_system(lie_type, rank)
-    return quotient_dimension(sub, frozenset(marked_std))
+def _factor_dimension(rd: RootDatum, f: ReducedFactor) -> int:
+    """Dimension of the factor's quotient, counted in the parent datum (a D3
+    rebuilt alone is A3, labelled otherwise): its positive roots supported on
+    the factor's nodes that meet its marks."""
+    nodes, marked = frozenset(f.nodes), frozenset(f.marked)
+    positive = rd.roots[: rd.positive_count]
+    return sum(1 for r in positive if r.support <= nodes and not r.support.isdisjoint(marked))
 
 
 @dataclass(frozen=True)
@@ -255,7 +252,7 @@ def decide_smooth_rational_curve(
         return ExistenceVerdict(True, smooth, None, hit)
     factors = reduce_positive_class(rd, marked, c)
     pairs = [
-        (_classify(_factor_dimension(f.lie_type, f.rank, f.marked_std)), f.restricted.degrees)
+        (_classify(_factor_dimension(rd, f)), f.restricted.degrees)
         for f in factors
     ]
     smooth, hit = _product_verdict(pairs)

@@ -66,23 +66,23 @@ class DesingTower:
 
     Factors run in source order (primed factors ascending, then unprimed
     descending); ``junctions[i]`` sits between ``factors[i]`` and
-    ``factors[i+1]``.  ``origins[i]`` lists which steps of the underlying
-    sequence were merged into factor ``i`` (adjacent equal factors
-    collapse).
+    ``factors[i+1]``.  ``pieces[i]`` lists, in order, the sequence steps
+    merged into factor ``i`` (adjacent equal factors collapse) as
+    ``(origin, lo, hi)``: the step's tag, ``("pprime", k)`` or ``("p", k)``,
+    and the Borels inside the factor its refinement chain walks up from
+    ``lo`` to ``hi``.  ``fibres[i]`` counts the roots factor ``i`` adds over
+    the next junction, the last factor over the quotient parabolic.
     """
 
-    rd: RootDatum
     factors: tuple[RootSubset, ...]
     junctions: tuple[RootSubset, ...]
-    origins: tuple[tuple[tuple[str, int], ...], ...]
+    pieces: tuple[tuple[tuple[tuple[str, int], RootSubset, RootSubset], ...], ...]
+    fibres: tuple[int, ...]
     base_borel: RootSubset
     base_element: WeylElement
     base_word: tuple[int, ...]
     quotient_nodes: frozenset[int]
     sequence: ParabolicSequence
-
-    def quotient_parabolic(self) -> RootSubset:
-        return standard_parabolic_set(self.rd, self.quotient_nodes)
 
 
 def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> DesingTower:
@@ -97,30 +97,27 @@ def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> Desing
     b, w2 = borel_completion(rd, p_nodes, w)
     seq = parabolic_sequence(rd, b, apply_element(w2, b))
     n = seq.terminal_index
-    raw: list[tuple[tuple[str, int], RootSubset]] = []
-    for k in range(1, n + 1):
-        raw.append((("pprime", k), seq.parabolics[k - 1][1]))
-    for k in range(n, 0, -1):
-        raw.append((("p", k), seq.parabolics[k - 1][0]))
-    factors: list[RootSubset] = []
-    origins: list[list[tuple[str, int]]] = []
-    for origin, fac in raw:
+    bs = [b for b, _ in seq.borels] + [seq.final_borel]  # B_1 .. B_n, then the aligned Borel
+    bps = [bp for _, bp in seq.borels] + [seq.final_borel]
+    steps = [(("pprime", k), seq.parabolics[k - 1][1], bps[k], bps[k - 1]) for k in range(1, n + 1)]
+    steps += [(("p", k), seq.parabolics[k - 1][0], bs[k - 1], bs[k]) for k in range(n, 0, -1)]
+    factors, pieces = [], []
+    for origin, fac, lo, hi in steps:
         if factors and factors[-1] == fac:
-            origins[-1].append(origin)
+            pieces[-1].append((origin, lo, hi))
         else:
             factors.append(fac)
-            origins.append([origin])
+            pieces.append([(origin, lo, hi)])
     junctions = [factors[i] & factors[i + 1] for i in range(len(factors) - 1)]
     for i, junction in enumerate(junctions):
         if contains_borel(rd, junction) is None:
-            raise ConsistencyError(
-                "junction does not contain a Borel", position=i
-            )
+            raise ConsistencyError("junction does not contain a Borel", position=i)
+    below = junctions + [standard_parabolic_set(rd, p_nodes)]
     return DesingTower(
-        rd,
         tuple(factors),
         tuple(junctions),
-        tuple(tuple(o) for o in origins),
+        tuple(tuple(merged) for merged in pieces),
+        tuple(len(f) - len(j) for f, j in zip(factors, below)),
         b,
         w2,
         w2.reduced_word(),
@@ -136,23 +133,18 @@ def tower_dimension(t: DesingTower) -> int:
     where ``W_P`` is generated by the simple reflections of the unmarked
     nodes of the quotient and ``w`` is the element the tower was built for.
     """
-    total = 0
-    for i in range(len(t.factors) - 1):
-        total += len(t.factors[i]) - len(t.junctions[i])
-    total += len(t.factors[-1]) - len(t.quotient_parabolic())
-    return total
+    return sum(t.fibres)
 
 
 @dataclass(frozen=True)
 class RefinedChain:
     """A chain of minimal parabolics refining the tower, with the reduced
-    word it induces and the positional grouping under the tower factors."""
+    word it induces; ``groups[i]`` is the half-open range of steps, and so
+    of letters, that tower factor ``i`` hosts."""
 
-    rd: RootDatum
     minimal_factors: tuple[RootSubset, ...]
     word: tuple[int, ...]
-    groups: tuple[tuple[int, int], ...]  # half-open step ranges per factor
-    chain_borels: tuple[RootSubset, ...]
+    groups: tuple[tuple[int, int], ...]
 
 
 def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
@@ -168,62 +160,34 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
     base Borel; that equals the base element only when the base Borel is
     standard.
     """
-    seq = t.sequence
-    n = seq.terminal_index
-    b1 = t.base_borel
-    bp1 = seq.borels[0][1]
-    # pieces (origin, parabolic, lo, hi) in descending order; each is walked up from lo to hi
-    bs = [b for b, _ in seq.borels] + [seq.final_borel]  # B_1 .. B_n, then the aligned Borel
-    bps = [bp for _, bp in seq.borels] + [seq.final_borel]
-    pieces = [(("pprime", k), seq.parabolics[k - 1][1], bps[k], bps[k - 1]) for k in range(1, n + 1)]
-    pieces += [(("p", k), seq.parabolics[k - 1][0], bs[k - 1], bs[k]) for k in range(n, 0, -1)]
-    walks = [(origin, *chain_walk(rd, par, bp1, lo, hi)) for origin, par, lo, hi in pieces]
-
-    # stitch the pieces; every piece starts where the previous one ended
-    grand: list[RootSubset] = [walks[0][1][-1]]
+    bp1 = t.sequence.borels[0][1]
+    # stitch the pieces down from the top of the first; each starts where the previous one ended
+    grand: list[RootSubset] = [t.pieces[0][0][2]]
     letters: list[int] = []
-    step_origin: list[tuple[str, int]] = []
-    for origin, borels, nodes in walks:
-        if borels[-1] != grand[-1]:
-            raise ConsistencyError("refinement pieces do not join up")
-        grand.extend(reversed(borels[:-1]))
-        letters.extend(reversed(nodes))
-        step_origin.extend([origin] * len(nodes))
-    if grand[0] != bp1 or grand[-1] != b1:
+    groups = []
+    for factor, merged in zip(t.factors, t.pieces):
+        start = len(letters)
+        for _, lo, hi in merged:
+            borels, nodes = chain_walk(rd, factor, bp1, lo, hi)
+            if borels[-1] != grand[-1]:
+                raise ConsistencyError("refinement pieces do not join up")
+            grand.extend(reversed(borels[:-1]))
+            letters.extend(reversed(nodes))
+        groups.append((start, len(letters)))
+    if grand[0] != bp1 or grand[-1] != t.base_borel:
         raise ConsistencyError("grand chain has wrong endpoints")
 
     minimal = []
-    for cur, nxt in zip(grand, grand[1:]):
-        diff = cur.indices - nxt.indices
-        if len(diff) != 1:
-            raise ConsistencyError("chain step is not a single reflection")
-        (gamma,) = diff
-        minimal.append(RootSubset(rd, cur.indices | {rd.negative_index(gamma)}))
-    word = tuple(reversed(letters))
-
-    # group the steps by the collapsed tower factor that hosts them;
-    # piece order matches factor order, so owners are non-decreasing
-    owner = {}
-    for fi, merged in enumerate(t.origins):
-        for origin in merged:
-            owner[origin] = fi
-    bounds = []
-    s = 0
-    total = len(step_origin)
-    for fi in range(len(t.factors)):
-        start = s
-        while s < total and owner[step_origin[s]] == fi:
-            s += 1
-        bounds.append((start, s))
-    if s != total:
-        raise ConsistencyError("refinement steps left unassigned")
-    for (lo, hi), factor in zip(bounds, t.factors):
+    for (lo, hi), factor in zip(groups, t.factors):
         for s in range(lo, hi):
+            diff = grand[s].indices - grand[s + 1].indices
+            if len(diff) != 1:
+                raise ConsistencyError("chain step is not a single reflection")
+            (gamma,) = diff
+            minimal.append(RootSubset(rd, grand[s].indices | {rd.negative_index(gamma)}))
             if not minimal[s] <= factor:
-                raise ConsistencyError(
-                    "refined factor escapes its tower factor", step=s
-                )
-    return RefinedChain(rd, tuple(minimal), word, tuple(bounds), tuple(grand))
+                raise ConsistencyError("refined factor escapes its tower factor", step=s)
+    return RefinedChain(tuple(minimal), tuple(reversed(letters)), tuple(groups))
 
 
 def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> bool:

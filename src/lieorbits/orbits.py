@@ -89,9 +89,10 @@ def is_dense_orbit(
         same = double_coset_minimum(w, left, right) == double_coset_minimum(w0, left, right)
         if same != dense:
             raise ConsistencyError(
-                "density characterisations disagree for "
-                f"w={w.reduced_word()}, p={sorted(p_nodes)}, "
-                f"p'={sorted(pprime_nodes)}"
+                "density characterisations disagree",
+                w=w.reduced_word(),
+                p=sorted(p_nodes),
+                pprime=sorted(pprime_nodes),
             )
     return dense
 

@@ -90,22 +90,6 @@ def apply_element(w: WeylElement, s: RootSubset) -> RootSubset:
     return RootSubset(s.rd, frozenset(map(w.perm.__getitem__, s.indices)))
 
 
-def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
-    """Smallest superset closed under root addition."""
-    sums = rd.sum_table()
-    out = set(indices)
-    frontier = list(out)
-    while frontier:
-        fresh = []
-        for i in frontier:
-            for j, k in sums[i].items():
-                if j in out and k not in out:
-                    out.add(k)
-                    fresh.append(k)
-        frontier = fresh
-    return frozenset(out)
-
-
 def closed_violation(rd: RootDatum, s: RootSubset) -> Optional[tuple[int, int, int]]:
     """A witness (i, j, i+j) that the subset is not closed, if any."""
     sums = rd.sum_table()
@@ -156,26 +140,23 @@ def walk_borel(
     root indices, or when no node qualifies; it returns the Borels passed,
     the node of each step and the element of the last Borel.
     """
-    perms = rd.reflection_perms()
     simples = [rd.simple_root_index(i) for i in range(rd.rank)]
-    n = rd.positive_count
-    cur, perm, length = b.indices, x.perm, x.length
+    cur = b.indices
     borels, nodes = [b], []
-    for _ in range(n + 1):
+    for _ in range(rd.positive_count + 1):
         if done(cur):
             break
-        i = next((i for i, a in enumerate(simples) if pick(perm[a])), None)
+        i = next((i for i, a in enumerate(simples) if pick(x.perm[a])), None)
         if i is None:
             break
-        r = perm[simples[i]]
+        r = x.perm[simples[i]]
         cur = (cur - {r}) | {rd.negative_index(r)}
-        perm = tuple(map(perm.__getitem__, perms[i]))
-        length += 1 if r < n else -1
+        x = x.times(i)
         borels.append(RootSubset(rd, cur))
         nodes.append(i)
     else:
         raise ConsistencyError("Borel walk did not terminate", borel=b.coords())
-    return borels, nodes, WeylElement(rd, perm, length)
+    return borels, nodes, x
 
 
 def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:

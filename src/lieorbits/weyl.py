@@ -55,13 +55,21 @@ class WeylElement:
             )
 
     def __repr__(self) -> str:
-        word = " ".join(str(i + 1) for i in self.reduced_word()) or "e"
+        word = " ".join(map(str, self.reduced_word())) or "e"
         return f"WeylElement({word})"
 
     def __mul__(self, other: "WeylElement") -> "WeylElement":
         if self.rd is not other.rd:
             raise ValueError("elements of different root systems")
         return WeylElement(self.rd, tuple(map(self.perm.__getitem__, other.perm)))
+
+    def times(self, i: int) -> "WeylElement":
+        """``w s_i``, one longer or one shorter as ``w(alpha_i)`` is positive
+        or negative; ``i`` is not range-checked."""
+        rd = self.rd
+        step = 1 if rd.is_positive_index(self.perm[rd.simple_root_index(i)]) else -1
+        perm = tuple(map(self.perm.__getitem__, rd.reflection_perms()[i]))
+        return WeylElement(rd, perm, self.length + step)
 
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
@@ -84,7 +92,7 @@ class WeylElement:
                 for i in range(rd.rank)
                 if not rd.is_positive_index(cur.perm[rd.simple_root_index(i)])
             )
-            cur = cur * simple_reflection(rd, i)
+            cur = cur.times(i)
             out.append(i)
         return tuple(reversed(out))
 
@@ -100,9 +108,10 @@ def simple_reflection(rd: RootDatum, i: int) -> WeylElement:
 
 def from_word(rd: RootDatum, word: Sequence[int]) -> WeylElement:
     """Element ``s_{word[0]} s_{word[1]} ...`` (leftmost factor acts last)."""
+    rd.check_nodes(word)
     w = identity(rd)
     for i in word:
-        w = w * simple_reflection(rd, i)
+        w = w.times(i)
     return w
 
 
@@ -227,25 +236,25 @@ class CosetOrbit:
 
 def double_coset_orbits(
     rd: RootDatum,
-    p_nodes: Iterable[int],
-    pprime_nodes: Iterable[int],
+    left: Iterable[int],
+    right: Iterable[int],
 ) -> list[CosetOrbit]:
-    """Partition W into W(P)-left x W(P')-right orbits, without building W.
+    """Partition W into double cosets W_I·w·W_J, without building W.
 
-    The node sets I and J are the generator indices of the two reflection
-    subgroups.  The weight ``lam`` = sum of the fundamental weights outside
-    J has stabiliser W_J, so the cosets w·W_J are the weights of the orbit
-    W·lam, and each double coset W_I·w·W_J holds exactly one I-dominant
-    weight ``mu`` (``mu[i] >= 0`` for i in I).  The orbit is walked level by
-    level in fundamental-weight coordinates; LIE_MAX_WEYL caps the weights
-    visited.  For each I-dominant ``mu`` the descent walk back to ``lam``
-    spells the double coset's minimal element, and the size is
-    |W_I|·|W_J| / |W_K| with K the nodes of I where ``mu`` vanishes
-    (Kilmoyer).  Orbits come back sorted by their minimal-length
+    The node sets I = ``left`` and J = ``right`` are the generator indices
+    of the two reflection subgroups.  The weight ``lam`` = sum of the
+    fundamental weights outside J has stabiliser W_J, so the cosets w·W_J
+    are the weights of the orbit W·lam, and each double coset W_I·w·W_J
+    holds exactly one I-dominant weight ``mu`` (``mu[i] >= 0`` for i in I).
+    The orbit is walked level by level in fundamental-weight coordinates;
+    LIE_MAX_WEYL caps the weights visited.  For each I-dominant ``mu`` the
+    descent walk back to ``lam`` spells the double coset's minimal element,
+    and the size is |W_I|·|W_J| / |W_K| with K the nodes of I where ``mu``
+    vanishes (Kilmoyer).  Orbits come back sorted by their minimal-length
     representative.
     """
-    left = rd.check_nodes(p_nodes)
-    right = rd.check_nodes(pprime_nodes)
+    left = rd.check_nodes(left)
+    right = rd.check_nodes(right)
     rank = rd.rank
     # column i of the Cartan matrix is alpha_i in fundamental-weight
     # coordinates; s_i only changes the coordinates where it is nonzero

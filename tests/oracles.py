@@ -2,9 +2,10 @@
 
 Each one re-derives a quantity the library computes another way, or checks
 a property of its results: root lookups, root sums and pairings, the
-members of a double coset by breadth-first search, parabolics over an
-arbitrary Borel, Borel chains, the P^1-fibration candidates of a quotient
-and the numeric lifting rule through a ruled surface.
+closure of a root set under addition, the members of a double coset by
+breadth-first search, parabolics over an arbitrary Borel, Borel chains,
+the P^1-fibration candidates of a quotient and the numeric lifting rule
+through a ruled surface.
 """
 
 from __future__ import annotations
@@ -36,6 +37,22 @@ def index_of(rd: RootDatum, root: Root) -> int:
 def sum_index(rd: RootDatum, i: int, j: int) -> Optional[int]:
     """Index of ``roots[i] + roots[j]`` when that sum is a root."""
     return rd.sum_table()[i].get(j)
+
+
+def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
+    """Smallest superset closed under root addition."""
+    sums = rd.sum_table()
+    out = set(indices)
+    frontier = list(out)
+    while frontier:
+        fresh = []
+        for i in frontier:
+            for j, k in sums[i].items():
+                if j in out and k not in out:
+                    out.add(k)
+                    fresh.append(k)
+        frontier = fresh
+    return frozenset(out)
 
 
 def root_sum(rd: RootDatum, gamma: Root, delta: Root) -> Optional[Root]:

@@ -9,6 +9,7 @@ from itertools import combinations, product
 import pytest
 from oracles import lift_feasible, p1_fibration_candidates
 
+from lieorbits import curves
 from lieorbits.curves import (
     anticanonical_coefficients,
     curve_class,
@@ -19,7 +20,7 @@ from lieorbits.curves import (
     tangent_degree,
     tangent_degree_from_roots,
 )
-from lieorbits.orbits import DomainRefusal
+from lieorbits.orbits import DomainRefusal, quotient_dimension
 from lieorbits.rootsys import build_root_system
 
 
@@ -370,3 +371,15 @@ def test_decide_plane_times_line():
     assert shapes == [("A", 1), ("A", 2)]
     v = decide_smooth_rational_curve(rd, full, c)
     assert v.smooth_curve_exists and v.exception_hit is None
+
+
+def test_d3_factor_dimension_is_read_in_the_parent_labelling():
+    # D6 marked at 3, 4 with degrees 0, 1: cutting node 3 leaves D3 on nodes
+    # 4, 5, 6 marked at its branch node 4, which is Gr(2, 4) of dimension 4;
+    # D3 rebuilt standalone is A3 in A3's labels, where that mark is an end
+    rd = build_root_system("D", 6)
+    marks = {2, 3}
+    (factor,) = reduce_positive_class(rd, marks, curve_class(marks, [0, 1]))
+    assert (factor.lie_type, factor.rank, factor.nodes, factor.marked) == ("D", 3, (3, 4, 5), (3,))
+    assert curves._factor_dimension(rd, factor) == 4
+    assert quotient_dimension(build_root_system("A", 3), {1}) == 4

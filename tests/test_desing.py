@@ -24,6 +24,7 @@ from lieorbits.desing import (
 from lieorbits.parabolic import (
     apply_element,
     borel_to_weyl,
+    sigma_of,
     standard_borel,
     standard_parabolic_set,
 )
@@ -39,6 +40,7 @@ from lieorbits.weyl import (
 
 GOLDEN = GOLDEN_DIR / "desing_cli.json"
 GOLDEN_TYPES = GOLDEN_DIR / "desing_cli_types.json"
+GOLDEN_DOT_TYPES = GOLDEN_DIR / "desing_dot_types.json"
 SMALL = [("A", 2), ("A", 3), ("B", 3), ("G", 2)]
 
 # (type, rank): words in CLI syntax, --p values (None leaves P = B)
@@ -102,6 +104,22 @@ def test_refined_word_is_reduced_and_conjugates_the_base_element(key):
         assert product.length == len(chain.word)
         u = borel_to_weyl(rd, t.base_borel)
         assert product == u.inverse() * t.base_element * u
+
+
+@pytest.mark.parametrize("key", SMALL, ids=type_id)
+def test_tower_pieces_share_their_factor_marks_and_groups_tile_the_word(key):
+    rd = build_root_system(*key)
+    for w, marks, t in towers(rd):
+        assert len(t.pieces) == len(t.fibres) == len(t.factors)
+        for factor, pieces in zip(t.factors, t.pieces):
+            sigmas = {sigma_of(rd, factor, b) for _, lo, hi in pieces for b in (lo, hi)}
+            assert len(sigmas) == 1
+        chain = demazure_refinement(rd, t)
+        assert len(chain.groups) == len(t.factors)
+        ends = [0] + [hi for _, hi in chain.groups]
+        assert [lo for lo, _ in chain.groups] == ends[:-1]
+        assert all(lo <= hi for lo, hi in chain.groups)
+        assert ends[-1] == len(chain.word)
 
 
 @pytest.mark.parametrize("key", SMALL, ids=type_id)
@@ -284,6 +302,18 @@ def type_argvs():
                     yield argv + ["--format", "json"]
 
 
+def type_dot_argvs():
+    """``lie desing`` in text and DOT over the same cases, which pin the
+    tower's factor labels, marks and fibres."""
+    for (lie_type, rank), (words, marks) in TYPE_CASES.items():
+        for word in words:
+            for p in marks:
+                argv = ["desing", "--type", lie_type, "--rank", str(rank), "--word", word]
+                argv += ["--p", p] if p is not None else []
+                for fmt in ("text", "dot"):
+                    yield argv + ["--format", fmt]
+
+
 def test_cli_transcripts_match_golden_bytes():
     check_golden(GOLDEN, cli_argvs())
 
@@ -292,6 +322,11 @@ def test_cli_transcripts_on_d4_f4_e6_match_golden_bytes():
     check_golden(GOLDEN_TYPES, type_argvs())
 
 
+def test_desing_text_and_dot_on_d4_f4_e6_match_golden_bytes():
+    check_golden(GOLDEN_DOT_TYPES, type_dot_argvs())
+
+
 if __name__ == "__main__":
     write_golden(GOLDEN, cli_argvs())
     write_golden(GOLDEN_TYPES, type_argvs())
+    write_golden(GOLDEN_DOT_TYPES, type_dot_argvs())

@@ -69,6 +69,20 @@ def test_density_characterisations_agree_elementwise():
             is_dense_orbit(rd, w, p, pp, cross_check=True)  # raises on mismatch
 
 
+def test_density_disagreement_carries_w_p_and_pprime_as_trace(monkeypatch):
+    import lieorbits.orbits
+    from lieorbits.parabolic import ConsistencyError
+
+    rd = build_root_system("A", 3)
+    # every element reduced to the same minimum, so any w off the dense orbit disagrees
+    monkeypatch.setattr(
+        lieorbits.orbits, "double_coset_minimum", lambda w, left, right: identity(rd)
+    )
+    with pytest.raises(ConsistencyError) as exc:
+        is_dense_orbit(rd, from_word(rd, (1,)), {0}, {0}, cross_check=True)
+    assert exc.value.trace == {"w": (1,), "p": [0], "pprime": [0]}
+
+
 def test_point_orbit_when_p_contains_pprime():
     rd = build_root_system("A", 1)
     e = identity(rd)

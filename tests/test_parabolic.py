@@ -8,6 +8,7 @@ from itertools import combinations
 import pytest
 from oracles import (
     borel_chain,
+    closure,
     is_parabolic,
     parabolic_from_nodes,
     subset_from_json,
@@ -19,7 +20,6 @@ from lieorbits.parabolic import (
     apply_element,
     borel_to_weyl,
     closed_violation,
-    closure,
     contains_borel,
     is_borel,
     is_covering,

@@ -56,7 +56,9 @@ def test_every_exported_name_is_used_by_the_library_or_the_benchmark():
 TEST_ONLY = {
     "rootsys": ("root_sum", "cartan_pairing"),
     "weyl": ("act_on_root",),
-    "parabolic": ("is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds"),
+    "parabolic": (
+        "closure", "is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds"
+    ),
     "curves": ("p1_fibration_candidates", "FibrationCandidate", "lift_feasible"),
 }
 
@@ -98,3 +100,13 @@ def test_only_the_cli_renders_output():
         if name.rsplit(".", 1)[-1] in ("to_json", "step_log") or name.endswith("_dot")
     ]
     assert renderers == ["parabolic.RootSubset.to_json"]
+
+
+def test_tower_results_keep_only_the_layout_build_tower_decides():
+    def fields(cls):
+        return {f.name for f in cls.__dataclass_fields__.values()}
+
+    assert fields(lieorbits.RefinedChain) == {"minimal_factors", "word", "groups"}
+    assert not {"rd", "origins"} & fields(lieorbits.DesingTower)
+    assert {"pieces", "fibres"} <= fields(lieorbits.DesingTower)
+    assert not hasattr(lieorbits.DesingTower, "quotient_parabolic")

@@ -357,3 +357,23 @@ def test_element_arithmetic_matches_explicit_composition(key):
         assert (inv.perm, inv.length) == reference_element(rd, a[::-1])
         assert inv * u == identity(rd) and (inv * u).length == 0
         assert u.length <= len(a) and (len(a) - u.length) % 2 == 0
+
+
+def test_repr_prints_the_reduced_word_0_based():
+    a3 = build_root_system("A", 3)
+    assert repr(from_word(a3, (1, 0))) == "WeylElement(1 0)"
+    assert repr(identity(a3)) == "WeylElement(e)"
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 4), ("B", 3), ("F", 4), ("G", 2)], ids=lambda key: f"{key[0]}{key[1]}"
+)
+def test_times_is_the_product_with_a_simple_reflection_and_its_length(key):
+    rd = build_root_system(*key)
+    rng = random.Random(f"times {key}")
+    for _ in range(25):
+        w = from_word(rd, [rng.randrange(rd.rank) for _ in range(rng.randrange(12))])
+        for i in range(rd.rank):
+            want = w * simple_reflection(rd, i)  # length counted from the permutation
+            got = w.times(i)
+            assert (got.perm, got.length) == (want.perm, want.length)
