@@ -14,50 +14,39 @@ from .parabolic import (
     ParabolicSequence,
     RootSubset,
     apply_element,
+    borel_to_weyl,
     chain_walk,
     contains_borel,
     is_borel,
     max_parabolic_pair,
+    nearest_borel,
     parabolic_sequence,
     sigma_of,
     standard_borel,
     standard_parabolic_set,
-    walk_borel,
 )
 from .rootsys import RootDatum
-from .weyl import WeylElement, identity
+from .weyl import WeylElement
 
 
 def borel_completion(
     rd: RootDatum, p_nodes: Iterable[int], w: WeylElement
 ) -> tuple[RootSubset, WeylElement]:
-    """Repair the standard Borel inside ``p`` until, together with ``w(B)``,
-    it spans ``p | w(B)``.
+    """The Borel ``b`` inside ``p`` that, together with ``w(B)``, spans
+    ``p | w(B)``: the one nearest to the Borel opposite ``w(B)``.
 
-    Returns that Borel ``b`` and ``w2 = w u^-1`` with ``u(B) = b``, so
+    Returns ``b`` and ``w2 = w u^-1`` with ``u(B) = b``, so
     ``w2(b) == w(B)``, ``b | w2(b) == p | w(B)``, and ``w2`` lies in the
-    right coset ``w W_P`` (not always in the left coset ``W_P w``).  Each
-    repair step reflects ``b`` in a simple root whose negative lies in ``p``
-    but not in the union; the walk carries ``u`` along.
+    right coset ``w W_P`` (not always in the left coset ``W_P w``).
     """
     p = standard_parabolic_set(rd, p_nodes)
-    b = standard_borel(rd)
-    bp = apply_element(w, b)
-    span = p | bp
-    fixable = (p - bp).negated().indices  # roots whose negative is in p but not in w(B)
-    borels, _, u = walk_borel(
-        rd, b, identity(rd), fixable.__contains__, lambda cur: cur | bp.indices == span.indices
-    )
-    b = borels[-1]
-    if b | bp != span:
+    bp = apply_element(w, standard_borel(rd))
+    b = nearest_borel(rd, p, bp.negated())
+    if not (is_borel(rd, b) and b <= p and b | bp == p | bp):
         raise ConsistencyError(
-            "no repair step available although the union is short",
-            union=(b | bp).coords(),
-            span=span.coords(),
+            "completion produced invalid Borels", borel=b.coords(), span=(p | bp).coords()
         )
-    if not (is_borel(rd, b) and b <= p):
-        raise ConsistencyError("completion produced invalid Borels")
-    return b, w * u.inverse()
+    return b, w * borel_to_weyl(rd, b).inverse()
 
 
 @dataclass(frozen=True)
@@ -174,19 +163,16 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
             grand.extend(reversed(borels[:-1]))
             letters.extend(reversed(nodes))
         groups.append((start, len(letters)))
-    if grand[0] != bp1 or grand[-1] != t.base_borel:
-        raise ConsistencyError("grand chain has wrong endpoints")
+    if grand[-1] != t.base_borel:
+        raise ConsistencyError("grand chain does not end at the base Borel")
 
     minimal = []
-    for (lo, hi), factor in zip(groups, t.factors):
-        for s in range(lo, hi):
-            diff = grand[s].indices - grand[s + 1].indices
-            if len(diff) != 1:
-                raise ConsistencyError("chain step is not a single reflection")
-            (gamma,) = diff
-            minimal.append(RootSubset(rd, grand[s].indices | {rd.negative_index(gamma)}))
-            if not minimal[s] <= factor:
-                raise ConsistencyError("refined factor escapes its tower factor", step=s)
+    for cur, nxt in zip(grand, grand[1:]):
+        diff = cur.indices - nxt.indices
+        if len(diff) != 1:
+            raise ConsistencyError("chain step is not a single reflection")
+        (gamma,) = diff
+        minimal.append(RootSubset(rd, cur.indices | {rd.negative_index(gamma)}))
     return RefinedChain(tuple(minimal), tuple(reversed(letters)), tuple(groups))
 
 

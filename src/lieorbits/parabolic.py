@@ -5,7 +5,9 @@ contains a Borel.
 A Borel is one root from each opposite pair, closed under addition; a
 parabolic is a closed subset containing at least one root of each pair.
 "Sum" of subalgebras is realised as root-set union followed by closure; the
-Cartan part is implicit and never stored.
+Cartan part is implicit and never stored.  Every Borel the recursion derives
+is the Borel inside some parabolic nearest to a given Borel
+(``nearest_borel``).
 """
 
 from __future__ import annotations
@@ -124,6 +126,17 @@ def is_borel(rd: RootDatum, s: RootSubset) -> bool:
     return _one_per_pair(rd, s) and is_closed(rd, s)
 
 
+def nearest_borel(rd: RootDatum, q: RootSubset, c: RootSubset) -> RootSubset:
+    """The Borel inside the parabolic ``q`` nearest to the Borel ``c``: the
+    unique one sharing the most roots with ``c``, its projection onto ``q``.
+
+    It keeps ``q``'s root on each opposite pair ``q`` holds once and ``c``'s
+    root on each pair ``q`` holds with both signs: ``q & (c | -(c - q))``.
+    """
+    flipped = frozenset(map(rd.negative_index, c.indices - q.indices))
+    return RootSubset(rd, q.indices & (c.indices | flipped))
+
+
 def walk_borel(
     rd: RootDatum,
     b: RootSubset,
@@ -194,11 +207,8 @@ def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
 
 
 def contains_borel(rd: RootDatum, s: RootSubset) -> Optional[RootSubset]:
-    """A Borel inside a closed subset, or None when none fits.
-
-    For pairs present with both signs the positive sign is taken; the
-    one-sided part is forced.
-    """
+    """The Borel inside a closed subset nearest to the standard Borel, or
+    None when the subset misses both roots of some opposite pair."""
     witness = closed_violation(rd, s)
     if witness is not None:
         i, j, k = witness
@@ -208,14 +218,10 @@ def contains_borel(rd: RootDatum, s: RootSubset) -> Optional[RootSubset]:
         )
     if not is_covering(rd, s):
         return None
-    chosen = set()
-    for p in range(rd.positive_count):
-        n = rd.negative_index(p)
-        chosen.add(p if p in s.indices else n)
-    out = RootSubset(rd, frozenset(chosen))
+    out = nearest_borel(rd, s, standard_borel(rd))
     if not is_borel(rd, out):
         raise ConsistencyError(
-            "greedy Borel extraction failed", subset=s.coords(), chosen=out.coords()
+            "closed covering subset holds no Borel", subset=s.coords(), chosen=out.coords()
         )
     return out
 
@@ -254,23 +260,14 @@ def next_borels(
 ) -> tuple[RootSubset, RootSubset]:
     """One step of the Borel update under a parabolic pair.
 
-    Membership of each root in the next Borel is decided by sign membership
-    in the two parabolics, falling back to the previous Borel when both
-    signs lie in both parabolics.  The output is asserted to be a Borel
-    rather than assumed; a failure is reported with its full case trace.
+    Each next Borel is the Borel inside its own parabolic nearest to the
+    Borel inside the other parabolic nearest to its previous Borel.  The
+    output is asserted to be a Borel rather than assumed; a failure is
+    reported with its full trace.
     """
 
     def step(p: RootSubset, q: RootSubset, prev: RootSubset) -> RootSubset:
-        chosen = set()
-        for a in p.indices:
-            na = rd.negative_index(a)
-            if na not in p.indices:
-                chosen.add(a)
-            elif a in q.indices and na not in q.indices:
-                chosen.add(a)
-            elif a in q.indices and na in q.indices and a in prev.indices:
-                chosen.add(a)
-        out = RootSubset(rd, frozenset(chosen))
+        out = nearest_borel(rd, p, nearest_borel(rd, q, prev))
         if not is_borel(rd, out):
             raise ConsistencyError(
                 "Borel update produced a non-Borel",
@@ -286,49 +283,11 @@ def next_borels(
     return step(pn, ppn, bn), step(ppn, pn, bpn)
 
 
-def align_borel(
-    rd: RootDatum,
-    b: RootSubset,
-    p: RootSubset,
-    pp: RootSubset,
-    ref: RootSubset,
-) -> RootSubset:
-    """Reflect ``b`` (a Borel of ``p``) step by step until it lies inside
-    ``pp`` as well, growing the intersection with ``ref`` along the way.
-
-    Each step reflects in a simple root of the current Borel that ``pp``
-    misses; ties take the smallest node index.
-    """
-    borels, _, _ = walk_borel(
-        rd, b, borel_to_weyl(rd, b), lambda r: r not in pp.indices, pp.indices.issuperset
-    )
-    for cur, nxt in zip(borels, borels[1:]):
-        (root,) = cur.indices - nxt.indices
-        if rd.negative_index(root) not in p.indices:
-            raise ConsistencyError(
-                "reflection would leave the ambient parabolic",
-                root=rd.roots[root].coords,
-                parabolic=p.coords(),
-            )
-        if len(nxt & ref) != len(cur & ref) + 1:
-            raise ConsistencyError(
-                "alignment step did not grow the reference intersection",
-                root=rd.roots[root].coords,
-            )
-    if not borels[-1] <= pp:
-        raise ConsistencyError(
-            "no admissible reflection although Borel escapes target",
-            borel=borels[-1].coords(),
-            target=pp.coords(),
-        )
-    return borels[-1]
-
-
 @dataclass(frozen=True)
 class ParabolicSequence:
     """The full alternating run from a pair of Borels to a terminal pair of
-    parabolics whose intersection contains a Borel, plus the aligned Borel
-    found inside that intersection."""
+    parabolics whose intersection contains a Borel, plus the Borel inside that
+    intersection nearest to the last Borel."""
 
     borels: tuple[tuple[RootSubset, RootSubset], ...]
     parabolics: tuple[tuple[RootSubset, RootSubset], ...]
@@ -338,8 +297,8 @@ class ParabolicSequence:
 
 def parabolic_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> ParabolicSequence:
     """Iterate maximal-parabolic extraction and the Borel update until the
-    parabolic intersection contains a Borel, then align the last Borel into
-    the intersection.
+    parabolic intersection contains a Borel, then take the Borel inside the
+    intersection nearest to the last Borel.
 
     Non-termination within ``positive_count`` steps would falsify the
     construction and raises loudly.
@@ -372,10 +331,16 @@ def parabolic_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> Paraboli
         )
     bn, bpn = borels[-1]
     pn, ppn = parabolics[-1]
-    final = align_borel(rd, bn, pn, ppn, bp)
+    meet = pn & ppn
+    final = nearest_borel(rd, meet, bn)
+    if not (is_borel(rd, final) and final <= meet):
+        raise ConsistencyError(
+            "final Borel is not a Borel inside the terminal intersection",
+            final=final.coords(),
+        )
     if not (bn & bp) <= (final & bp) or not (final & bp) <= (bpn & bp):
         raise ConsistencyError(
-            "aligned Borel breaks the intersection chain",
+            "final Borel breaks the intersection chain",
             final=final.coords(),
         )
     return ParabolicSequence(tuple(borels), tuple(parabolics), terminal, final)

@@ -291,18 +291,7 @@ def _match_relabel(sub, std, perm) -> bool:
 
 
 def _candidate_types(k: int) -> list[str]:
-    out = ["A"]
-    if k >= 2:
-        out += ["B", "C"]
-    if k >= 3:
-        out.append("D")
-    if k in (6, 7, 8):
-        out.append("E")
-    if k == 4:
-        out.append("F")
-    if k == 2:
-        out.append("G")
-    return out
+    return [t for t, (lo, hi) in RANK_RULES.items() if lo <= k and (hi is None or k <= hi)]
 
 
 def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent:

@@ -24,6 +24,7 @@ from lieorbits.parabolic import (
     is_borel,
     is_covering,
     max_parabolic_pair,
+    nearest_borel,
     next_borels,
     parabolic_sequence,
     sigma_of,
@@ -445,3 +446,25 @@ def test_one_walker_step_moves_x_to_x_times_s_i(key):
             assert nodes == [i] and borels == [b, apply_element(want, std)]
             step = 1 if root < rd.positive_count else -1  # x(alpha_i) positive: x s_i is longer
             assert end == want and end.length == want.length == x.length + step
+
+
+@pytest.mark.parametrize(
+    "key, count", [(("A", 3), 75), (("B", 3), 147), (("G", 2), 25)], ids=["A3", "B3", "G2"]
+)
+def test_nearest_borel_is_the_one_borel_inside_q_sharing_most_roots(key, count):
+    # the gate property of projections in a building (Tits): among the Borels
+    # inside a parabolic, exactly one shares the most roots with a given Borel
+    rd = build_root_system(*key)
+    borels = all_borels(rd)
+    parabolics = {
+        apply_element(x, standard_parabolic_set(rd, sigma))
+        for x in weyl_group(rd)
+        for sigma in node_subsets(rd.rank)
+    }
+    assert len(parabolics) == count
+    for q in parabolics:
+        inside = [b for b in borels if b <= q]
+        for c in borels:
+            best = max(len(b & c) for b in inside)
+            (gate,) = [b for b in inside if len(b & c) == best]
+            assert nearest_borel(rd, q, c) == gate

@@ -1,11 +1,13 @@
 """The package's public surface: every name ``lieorbits`` exports is used
-by the library itself or by the benchmark, and the routines that only
-tests call live in ``tests/oracles.py``."""
+by the library itself or by the benchmark, the routines that only tests
+call live in ``tests/oracles.py``, and what the benchmark reads of the
+library is there."""
 
 from __future__ import annotations
 
 import ast
 import importlib
+import importlib.util
 import re
 from pathlib import Path
 
@@ -110,3 +112,26 @@ def test_tower_results_keep_only_the_layout_build_tower_decides():
     assert not {"rd", "origins"} & fields(lieorbits.DesingTower)
     assert {"pieces", "fibres"} <= fields(lieorbits.DesingTower)
     assert not hasattr(lieorbits.DesingTower, "quotient_parabolic")
+
+
+def load_bench_module(name):
+    # under a name of its own: ``oracles`` is taken by tests/oracles.py
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_the_benchmark_self_test_passes_before_any_query(monkeypatch):
+    # the benchmark runs this outside any try, so a broken contract (say, a
+    # non-set ``tower.base_borel.indices``) would end the whole run
+    monkeypatch.syspath_prepend(str(BENCH))  # selftest imports inputs
+    assert load_bench_module("oracles").selftest(lieorbits) == []
+
+
+def test_every_traced_target_resolves_in_the_library():
+    for _, module, attribute, _, _ in load_bench_module("spans").TARGETS:
+        obj = importlib.import_module(f"lieorbits.{module}")
+        for part in attribute.split("."):
+            obj = getattr(obj, part)
+        assert callable(obj), f"{module}.{attribute}"
