@@ -166,14 +166,13 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
     if grand[-1] != t.base_borel:
         raise ConsistencyError("grand chain does not end at the base Borel")
 
-    minimal = []
-    for cur, nxt in zip(grand, grand[1:]):
-        diff = cur.indices - nxt.indices
-        if len(diff) != 1:
-            raise ConsistencyError("chain step is not a single reflection")
-        (gamma,) = diff
-        minimal.append(RootSubset(rd, cur.indices | {rd.negative_index(gamma)}))
-    return RefinedChain(tuple(minimal), tuple(reversed(letters)), tuple(groups))
+    # a step flips one root, so cur | nxt is cur plus the root nxt gained;
+    # adding only that root keeps each kept set's hash table one Borel in size
+    minimal = tuple(
+        RootSubset(rd, cur.indices | (nxt.indices - cur.indices))
+        for cur, nxt in zip(grand, grand[1:])
+    )
+    return RefinedChain(minimal, tuple(reversed(letters)), tuple(groups))
 
 
 def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> bool:

@@ -13,7 +13,7 @@ is the Borel inside some parabolic nearest to a given Borel
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .rootsys import ConsistencyError, RootDatum
 from .weyl import WeylElement, identity
@@ -137,55 +137,20 @@ def nearest_borel(rd: RootDatum, q: RootSubset, c: RootSubset) -> RootSubset:
     return RootSubset(rd, q.indices & (c.indices | flipped))
 
 
-def walk_borel(
-    rd: RootDatum,
-    b: RootSubset,
-    x: WeylElement,
-    pick: Callable[[int], bool],
-    done: Callable[[frozenset[int]], bool],
-) -> tuple[list[RootSubset], list[int], WeylElement]:
-    """Walk the Borel ``b = x(B)`` one simple reflection at a time.
-
-    Each step takes the smallest node ``i`` whose simple root ``x(alpha_i)``
-    of the current Borel satisfies ``pick``, flips that root's sign and moves
-    ``x`` to ``x s_i``, one longer or one shorter as ``x(alpha_i)`` is
-    positive or negative.  The walk stops once ``done`` holds for the current
-    root indices, or when no node qualifies; it returns the Borels passed,
-    the node of each step and the element of the last Borel.
-    """
-    simples = [rd.simple_root_index(i) for i in range(rd.rank)]
-    cur = b.indices
-    borels, nodes = [b], []
-    for _ in range(rd.positive_count + 1):
-        if done(cur):
-            break
-        i = next((i for i, a in enumerate(simples) if pick(x.perm[a])), None)
-        if i is None:
-            break
-        r = x.perm[simples[i]]
-        cur = (cur - {r}) | {rd.negative_index(r)}
-        x = x.times(i)
-        borels.append(RootSubset(rd, cur))
-        nodes.append(i)
-    else:
-        raise ConsistencyError("Borel walk did not terminate", borel=b.coords())
-    return borels, nodes, x
-
-
 def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
     """The unique element sending the standard Borel to ``b``.
 
-    The walk up from the standard Borel reflects in a simple root whose
-    negative lies in ``b``, so each step adds one root of ``b``.  A set of
+    The walk up from the identity takes ``x`` to ``x s_i`` whenever the
+    simple root ``x(alpha_i)`` lies outside ``b``, so each step trades one
+    root of the Borel ``x(B)`` for its negative, a root of ``b``.  A set of
     one root per opposite pair is a Borel exactly when this walk reaches it:
     reflections are automorphisms, so every set on the path is a Borel, and
     a Borel other than ``b`` always has such a simple root when ``b`` is one.
     """
     if _one_per_pair(rd, b):
-        borels, _, x = walk_borel(
-            rd, standard_borel(rd), identity(rd), b.negated().indices.__contains__, b.indices.__eq__
-        )
-        if borels[-1] == b:
+        members = b.indices
+        _, _, x = identity(rd).walk(lambda i, r: r not in members)
+        if apply_element(x, standard_borel(rd)) == b:
             return x
     raise ValueError("not a Borel root set")
 
@@ -196,14 +161,20 @@ def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
     return tuple(w.perm[rd.simple_root_index(i)] for i in range(rd.rank))
 
 
+def _absent_negatives(rd: RootDatum, x: WeylElement, s: RootSubset) -> frozenset[int]:
+    """The nodes ``i`` whose root ``-x(alpha_i)`` is not in ``s``."""
+    return frozenset(
+        i
+        for i in range(rd.rank)
+        if rd.negative_index(x.perm[rd.simple_root_index(i)]) not in s.indices
+    )
+
+
 def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
     """Marked nodes of a parabolic relative to a contained Borel."""
     if not b <= p:
         raise ValueError("Borel is not contained in the parabolic")
-    simples = simple_roots_of_borel(rd, b)
-    return frozenset(
-        i for i in range(rd.rank) if rd.negative_index(simples[i]) not in p
-    )
+    return _absent_negatives(rd, borel_to_weyl(rd, b), p)
 
 
 def contains_borel(rd: RootDatum, s: RootSubset) -> Optional[RootSubset]:
@@ -235,12 +206,7 @@ def max_parabolic_pair(
     out = []
     for left, right in ((b, bp), (bp, b)):
         x = borel_to_weyl(rd, left)
-        sigma = frozenset(
-            i
-            for i in range(rd.rank)
-            if rd.negative_index(x.perm[rd.simple_root_index(i)]) not in right.indices
-        )
-        p = apply_element(x, standard_parabolic_set(rd, sigma))
+        p = apply_element(x, standard_parabolic_set(rd, _absent_negatives(rd, x, right)))
         if not p <= (b | bp):
             raise ConsistencyError(
                 "maximal parabolic escapes the Borel union",
@@ -355,21 +321,23 @@ def chain_walk(
 ) -> tuple[list[RootSubset], list[int]]:
     """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
     reflection per step, growing the intersection with ``b_ref`` by exactly
-    one root each time; returned with the node of each step."""
+    one root each time; returned with the node of each step.  Each step flips
+    a simple root whose negative lies in ``b_ref & b_to``; at ``b_to`` none does."""
     if not (b_from <= p and b_to <= p):
         raise ValueError("endpoint Borels must lie inside the parabolic")
     if not (b_from & b_ref) <= (b_to & b_ref):
         raise ValueError("reference intersections are not nested")
     target = (b_ref & b_to).negated().indices  # the negatives of the roots to gain
-    borels, nodes, _ = walk_borel(
-        rd, b_from, borel_to_weyl(rd, b_from), target.__contains__, b_to.indices.__eq__
-    )
-    for cur, nxt in zip(borels, borels[1:]):
+    nodes, flipped, _ = borel_to_weyl(rd, b_from).walk(lambda i, r: r in target)
+    borels = [b_from]
+    for r in flipped:
+        cur = borels[-1]
+        nxt = RootSubset(rd, (cur.indices - {r}) | {rd.negative_index(r)})
         if not nxt <= p or len(nxt & b_ref) != len(cur & b_ref) + 1:
-            (root,) = cur.indices - nxt.indices
             raise ConsistencyError(
-                "chain step violated its invariants", root=rd.roots[root].coords
+                "chain step violated its invariants", root=rd.roots[r].coords
             )
+        borels.append(nxt)
     if borels[-1] != b_to:
         raise ConsistencyError(
             "chain stuck before reaching the target Borel",

@@ -190,9 +190,6 @@ class RootDatum:
         n = self.positive_count
         return idx + n if idx < n else idx - n
 
-    def is_positive_index(self, idx: int) -> bool:
-        return idx < self.positive_count
-
     def sum_table(self) -> tuple[dict[int, int], ...]:
         """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
         ``roots[k]``; built on first use.
@@ -342,33 +339,17 @@ def diagram_components_after_removal(
     return components
 
 
-def longest_element_perm(rd: RootDatum) -> tuple[int, ...]:
-    """Root permutation of the longest Weyl element, built greedily."""
-    perms = rd.reflection_perms()
-    n = len(rd.roots)
-    w = tuple(range(n))
-    while True:
-        i = next(
-            (
-                i
-                for i in range(rd.rank)
-                if rd.is_positive_index(w[rd.simple_root_index(i)])
-            ),
-            None,
-        )
-        if i is None:
-            return w
-        s = perms[i]
-        w = tuple(w[s[r]] for r in range(n))  # w := w o s_i
-
-
 def involution_i(rd: RootDatum) -> tuple[int, ...]:
     """The diagram involution ``j -> node of -w0(alpha_j)``.
 
     Always computed from the longest element's action, never from a lookup
     table; the result is asserted to be an involutive diagram automorphism.
     """
-    w0 = longest_element_perm(rd)
+    # imported here because weyl imports this module; involution_i stays in
+    # this module, where perfbench/spans.py traces it
+    from .weyl import longest_element
+
+    w0 = longest_element(rd).perm
     perm = []
     for j in range(rd.rank):
         img = w0[rd.simple_root_index(j)]

@@ -13,14 +13,10 @@ import os
 from dataclasses import dataclass, field
 from functools import cache, partial
 from math import factorial, prod
-from typing import Iterable, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, Sequence
 
-from .rootsys import (
-    ConsistencyError,
-    RootDatum,
-    diagram_components_after_removal,
-    longest_element_perm,
-)
+from .rootsys import ConsistencyError, RootDatum, diagram_components_after_removal
 
 DEFAULT_MAX_WEYL = 10**6
 MAX_WEYL_ENV = "LIE_MAX_WEYL"
@@ -67,7 +63,7 @@ class WeylElement:
         """``w s_i``, one longer or one shorter as ``w(alpha_i)`` is positive
         or negative; ``i`` is not range-checked."""
         rd = self.rd
-        step = 1 if rd.is_positive_index(self.perm[rd.simple_root_index(i)]) else -1
+        step = 1 if self.perm[rd.simple_root_index(i)] < rd.positive_count else -1
         perm = tuple(map(self.perm.__getitem__, rd.reflection_perms()[i]))
         return WeylElement(rd, perm, self.length + step)
 
@@ -77,24 +73,43 @@ class WeylElement:
             inv[img] = r
         return WeylElement(self.rd, tuple(inv), self.length)
 
+    def walk(
+        self, pick: Callable[[int, int], bool]
+    ) -> tuple[list[int], list[int], "WeylElement"]:
+        """Step from ``w`` to ``w s_i`` while some node ``i`` has
+        ``pick(i, w(alpha_i))``, always taking the smallest such ``i``.
+
+        Returns the node of each step, the root ``w(alpha_i)`` it flipped and
+        the last element.  Each step is one longer or one shorter as
+        ``w(alpha_i)`` is positive or negative.
+        """
+        rd = self.rd
+        # times_s[i](perm) is the tuple of w s_i (every root system has two roots or more)
+        times_s = [itemgetter(*s) for s in rd.reflection_perms()]
+        simples = [rd.simple_root_index(i) for i in range(rd.rank)]
+        n = rd.positive_count
+        perm, length = self.perm, self.length
+        nodes, roots = [], []
+        for _ in range(n + 1):
+            i = next((i for i, a in enumerate(simples) if pick(i, perm[a])), None)
+            if i is None:
+                return nodes, roots, WeylElement(rd, perm, length)
+            r = perm[simples[i]]
+            perm = times_s[i](perm)
+            length += 1 if r < n else -1
+            nodes.append(i)
+            roots.append(r)
+        raise ConsistencyError("Weyl walk did not terminate", start=self.reduced_word())
+
     def reduced_word(self) -> tuple[int, ...]:
         """A reduced word recovered from the permutation.
 
         Repeatedly strips the smallest right descent, so the result is
         deterministic for a given element.
         """
-        rd = self.rd
-        out = []
-        cur = self
-        while cur.length:
-            i = next(
-                i
-                for i in range(rd.rank)
-                if not rd.is_positive_index(cur.perm[rd.simple_root_index(i)])
-            )
-            cur = cur.times(i)
-            out.append(i)
-        return tuple(reversed(out))
+        n = self.rd.positive_count
+        nodes, _, _ = self.walk(lambda i, r: r >= n)
+        return tuple(reversed(nodes))
 
 
 def identity(rd: RootDatum) -> WeylElement:
@@ -116,9 +131,11 @@ def from_word(rd: RootDatum, word: Sequence[int]) -> WeylElement:
 
 
 def longest_element(rd: RootDatum) -> WeylElement:
-    """The unique element sending every positive root to a negative one."""
-    w = WeylElement(rd, longest_element_perm(rd))
-    if w.length != rd.positive_count:
+    """The unique element sending every positive root to a negative one,
+    walked up from the identity through the smallest ascent."""
+    n = rd.positive_count
+    _, _, w = identity(rd).walk(lambda i, r: r < n)
+    if w.length != n:
         raise ConsistencyError("longest element has wrong length")
     return w
 
@@ -203,26 +220,16 @@ def parabolic_order(rd: RootDatum, nodes: Iterable[int]) -> int:
 def double_coset_minimum(
     w: WeylElement, left: Iterable[int], right: Iterable[int]
 ) -> WeylElement:
-    """The minimal element of ``W_left · w · W_right``, by stripping left
-    descents in ``left`` and right descents in ``right`` while there are any;
-    the element with neither is unique in its double coset."""
+    """The minimal element of ``W_left · w · W_right``: strip the right
+    descents in ``right``, then the left descents in ``left`` off the inverse.
+    A suffix of a minimal element of ``w W_right`` is minimal too, so no right
+    descent comes back, and the element with neither is unique."""
     rd = w.rd
-    refl = rd.reflection_perms()
+    left, right = rd.check_nodes(left), rd.check_nodes(right)
     n = rd.positive_count
-    lefts = [(i, rd.simple_root_index(i)) for i in sorted(rd.check_nodes(left))]
-    rights = [(j, rd.simple_root_index(j)) for j in sorted(rd.check_nodes(right))]
-    perm, length = w.perm, w.length
-    while True:
-        # s_i is a left descent when w^-1(alpha_i) < 0, a right one when w(alpha_i) < 0
-        i = next((i for i, a in lefts if perm.index(a) >= n), None)
-        if i is not None:
-            perm = tuple(map(refl[i].__getitem__, perm))
-        else:
-            j = next((j for j, a in rights if perm[a] >= n), None)
-            if j is None:
-                return WeylElement(rd, perm, length)
-            perm = tuple(map(perm.__getitem__, refl[j]))
-        length -= 1
+    _, _, u = w.walk(lambda j, r: j in right and r >= n)
+    _, _, v = u.inverse().walk(lambda i, r: i in left and r >= n)
+    return v.inverse()
 
 
 @dataclass(frozen=True)

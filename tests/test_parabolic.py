@@ -32,7 +32,6 @@ from lieorbits.parabolic import (
     standard_borel,
     standard_parabolic_set,
     subset_of,
-    walk_borel,
 )
 from lieorbits.rootsys import Root, build_root_system
 from lieorbits.weyl import from_word, identity, simple_reflection, weyl_group
@@ -436,14 +435,13 @@ def borel_to_weyl_agrees_with_is_borel(b):
 @pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("G", 2)], ids=lambda key: f"{key[0]}{key[1]}")
 def test_one_walker_step_moves_x_to_x_times_s_i(key):
     rd = build_root_system(*key)
-    std = standard_borel(rd)
     for x in weyl_group(rd):
-        b = apply_element(x, std)
         for i in range(rd.rank):
             root = x.perm[rd.simple_root_index(i)]
-            borels, nodes, end = walk_borel(rd, b, x, root.__eq__, b.indices.__ne__)
+            # x s_i has -root at node i and no other simple root equal to root
+            nodes, roots, end = x.walk(lambda j, r: r == root)
             want = x * simple_reflection(rd, i)
-            assert nodes == [i] and borels == [b, apply_element(want, std)]
+            assert nodes == [i] and roots == [root]
             step = 1 if root < rd.positive_count else -1  # x(alpha_i) positive: x s_i is longer
             assert end == want and end.length == want.length == x.length + step
 

@@ -8,8 +8,13 @@ from __future__ import annotations
 import ast
 import importlib
 import importlib.util
+import json
 import re
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import lieorbits
 
@@ -135,3 +140,18 @@ def test_every_traced_target_resolves_in_the_library():
         for part in attribute.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attribute}"
+
+
+@pytest.mark.parametrize("workload", ["towers", "orbits"])
+def test_one_untraced_benchmark_pass_is_correct(workload):
+    # run.py checks every result outside any try, so a broken benchmark
+    # contract ends the run; cli-cold is left out for its known hilbert
+    # oracle defect, and traced runs write to perfbench/out/
+    done = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
+        cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    result = json.loads(done.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, done.stdout[-2000:]

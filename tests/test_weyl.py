@@ -9,7 +9,14 @@ from itertools import combinations
 import pytest
 from oracles import act_on_root, coset_members
 
-from lieorbits.rootsys import Root, RootDatum, build_root_system, cartan_matrix, generate_roots
+from lieorbits.rootsys import (
+    ConsistencyError,
+    Root,
+    RootDatum,
+    build_root_system,
+    cartan_matrix,
+    generate_roots,
+)
 from lieorbits.orbits import orbit_table
 from lieorbits.weyl import (
     bruhat_leq,
@@ -106,6 +113,14 @@ def test_length_of_inverse_and_subadditivity():
         for v in group:
             uv = u * v
             assert uv.length <= u.length + v.length
+
+
+def test_a_walk_that_never_stops_picking_is_refused():
+    # s_0 s_0 ... never runs out of nodes to take
+    for key in (("A", 1), ("G", 2), ("E", 6)):
+        x = longest_element(build_root_system(*key))
+        with pytest.raises(ConsistencyError, match="walk did not terminate"):
+            x.walk(lambda i, r: True)
 
 
 def test_reduced_word_roundtrip():
