@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from operator import mul
 from typing import Iterable, Optional, Sequence
 
 #: admissible ranks per type: (minimum, maximum or None for unbounded)
@@ -108,25 +107,57 @@ def validate_type(lie_type: str, rank: int) -> None:
         raise ValueError(f"type {lie_type} requires rank {bound}, got {rank}")
 
 
+def _reflection_walk(cartan: Sequence[Sequence[int]], index: dict[tuple[int, ...], int]):
+    """Walk the roots breadth first from the simple roots by simple reflections.
+
+    ``index`` maps root coordinates to ids; a root the walk meets that it
+    lacks is added with the next free id.  Yields ``(r, moves)`` once for
+    the id ``r`` of every root reached, where ``moves`` lists ``(i, k)`` for
+    each node ``i`` whose reflection sends root ``r`` to root ``k``; every
+    other simple reflection fixes it.  Each root of the frontier carries its
+    weight coordinates ``p_i = <c, alphacheck_i>``, so a step by ``s_i`` is
+    taken only where ``p_i != 0``: it lowers coordinate ``i`` of ``c`` by
+    ``p_i`` and changes only the entries of ``p`` where column ``i`` of the
+    Cartan matrix is nonzero.
+    """
+    rank = len(cartan)
+    # column i of the Cartan matrix is alpha_i in weight coordinates
+    columns = [[(k, row[i]) for k, row in enumerate(cartan) if row[i]] for i in range(rank)]
+    frontier = []
+    for i in range(rank):
+        c = tuple(1 if k == i else 0 for k in range(rank))
+        frontier.append((index.setdefault(c, len(index)), c, [row[i] for row in cartan]))
+    visited = {r for r, _, _ in frontier}
+    while frontier:
+        fresh = []
+        for r, c, p in frontier:
+            moves = []
+            for i, x in enumerate(p):
+                if x:
+                    img = c[:i] + (c[i] - x,) + c[i + 1 :]
+                    k = index.setdefault(img, len(index))
+                    moves.append((i, k))
+                    if k not in visited:
+                        visited.add(k)
+                        q = p.copy()
+                        for j, a in columns[i]:
+                            q[j] -= x * a
+                        fresh.append((k, img, q))
+            yield r, moves
+        frontier = fresh
+
+
 def generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Saturate the simple roots under all simple reflections.
+    """Saturate the simple roots under all simple reflections, by the
+    reflection walk (``_reflection_walk``).
 
     Returns every root, positives first (sorted by height then coordinates),
     negatives mirrored in the same order.
     """
-    rank = len(cartan)
-    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
-    seen = set(simples)
-    frontier = list(simples)
-    while frontier:
-        fresh = []
-        for c in frontier:
-            for i, row in enumerate(cartan):
-                r = c[:i] + (c[i] - sum(map(mul, row, c)),) + c[i + 1 :]
-                if r not in seen:
-                    seen.add(r)
-                    fresh.append(r)
-        frontier = fresh
+    index: dict[tuple[int, ...], int] = {}
+    for _ in _reflection_walk(cartan, index):
+        pass
+    seen = list(index)
     positives = sorted(
         (c for c in seen if all(x >= 0 for x in c)),
         key=lambda c: (sum(c), c),
@@ -194,19 +225,21 @@ class RootDatum:
         """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
         ``roots[k]``; built on first use.
 
-        Only the simple-root rows are computed from coordinates.  Every other
-        row is carried along a simple reflection ``s`` from a known one, since
-        ``s(a) + s(b) = s(a + b)``, and every root is conjugate to a simple one.
+        Only the simple-root rows are computed from coordinates: adding
+        ``alpha_i`` raises coordinate ``i`` by one.  Every other row is
+        carried from a known one along the permutations that the reflection
+        walk fills (``reflection_perms``), since ``s(a) + s(b) = s(a + b)``,
+        and every root is conjugate to a simple one.
         """
         if self._sums is None:
             rows: list[Optional[dict[int, int]]] = [None] * len(self.roots)
             frontier = []
             for i in range(self.rank):
                 r = self._simple_index[i]
-                a = self.roots[r].coords
                 row = {}
                 for j, root in enumerate(self.roots):
-                    k = self.root_index.get(tuple(x + y for x, y in zip(a, root.coords)))
+                    c = root.coords
+                    k = self.root_index.get(c[:i] + (c[i] + 1,) + c[i + 1 :])
                     if k is not None:
                         row[j] = k
                 rows[r] = row
@@ -227,19 +260,38 @@ class RootDatum:
         return self._sums
 
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """Permutation of the root list induced by each simple reflection."""
+        """Permutation of the root list induced by each simple reflection;
+        built on first use.
+
+        Filled by the reflection walk (``_reflection_walk``) over this
+        datum's Cartan matrix and a copy of ``root_index``: each move the
+        walk takes is one entry, and every other entry is a fixed point.  A
+        root list that is not closed under the reflections, or that the walk
+        does not reach in full, raises ``ConsistencyError``.
+        """
         if self._reflections is None:
-            perms = []
-            for i in range(self.rank):
-                row = self.cartan[i]
-                perm = []
-                for r in self.roots:
-                    c = r.coords
-                    # s_i only changes coordinate i, by the pairing with alpha_i
-                    img = c[:i] + (c[i] - sum(map(mul, row, c)),) + c[i + 1 :]
-                    perm.append(self.root_index[img])
-                perms.append(tuple(perm))
-            self._reflections = tuple(perms)
+            n = len(self.roots)
+            known = len(self.root_index)
+            index = dict(self.root_index)
+            # copies of one list share their int objects, which above 256
+            # are not cached
+            ids = list(range(n))
+            perms = [ids.copy() for _ in range(self.rank)]
+            reached = 0
+            for r, moves in _reflection_walk(self.cartan, index):
+                if len(index) > known:
+                    raise ConsistencyError(
+                        "root list is not closed under the simple reflections",
+                        root=self.roots[r].coords, image=list(index)[known],
+                    )
+                for i, k in moves:
+                    perms[i][r] = k
+                reached += 1
+            if reached != n:
+                raise ConsistencyError(
+                    "reflection walk misses a root", reached=reached, roots=n
+                )
+            self._reflections = tuple(map(tuple, perms))
         return self._reflections
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:

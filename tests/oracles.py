@@ -1,8 +1,9 @@
 """Reference routines that only the tests call.
 
 Each one re-derives a quantity the library computes another way, or checks
-a property of its results: root lookups, root sums and pairings, the
-closure of a root set under addition, the members of a double coset by
+a property of its results: the root list, reflection permutations and sum
+rows by dense coordinate arithmetic, root lookups, root sums and pairings,
+the closure of a root set under addition, the members of a double coset by
 breadth-first search, parabolics over an arbitrary Borel, Borel chains,
 the P^1-fibration candidates of a quotient and the numeric lifting rule
 through a ruled surface.
@@ -11,6 +12,7 @@ through a ruled surface.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
 from lieorbits.curves import CurveClass
@@ -23,8 +25,64 @@ from lieorbits.parabolic import (
     is_covering,
     standard_parabolic_set,
 )
-from lieorbits.rootsys import Root, RootDatum
+from lieorbits.rootsys import ConsistencyError, Root, RootDatum
 from lieorbits.weyl import CosetOrbit, WeylElement, simple_reflection
+
+
+def dense_generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every root, ordered as ``generate_roots`` orders them, by closing the
+    simple roots under every simple reflection with the dense pairing
+    ``sum(cartan[i][k] * c[k])`` of each root against each node."""
+    rank = len(cartan)
+    simples = [tuple(1 if k == i else 0 for k in range(rank)) for i in range(rank)]
+    seen = set(simples)
+    frontier = list(simples)
+    while frontier:
+        fresh = []
+        for c in frontier:
+            for i, row in enumerate(cartan):
+                r = c[:i] + (c[i] - sum(map(mul, row, c)),) + c[i + 1 :]
+                if r not in seen:
+                    seen.add(r)
+                    fresh.append(r)
+        frontier = fresh
+    positives = sorted(
+        (c for c in seen if all(x >= 0 for x in c)),
+        key=lambda c: (sum(c), c),
+    )
+    for c in seen:
+        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+            raise ConsistencyError(f"mixed-sign vector generated: {c}")
+    if 2 * len(positives) != len(seen):
+        raise ConsistencyError("positives do not account for half the roots")
+    return positives + [tuple(-x for x in c) for c in positives]
+
+
+def dense_reflection_perms(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
+    """Each simple reflection as a permutation of the root list, by the
+    formula ``s_i(c) = c - <c, alphacheck_i> alpha_i`` on every root."""
+    perms = []
+    for i in range(rd.rank):
+        perm = []
+        for r in rd.roots:
+            c = r.coords
+            perm.append(rd.root_index[c[:i] + (c[i] - rd.pairing(c, i),) + c[i + 1 :]])
+        perms.append(tuple(perm))
+    return tuple(perms)
+
+
+def dense_sum_table(rd: RootDatum) -> tuple[dict[int, int], ...]:
+    """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
+    ``roots[k]``, by adding the coordinates of every pair."""
+    rows = []
+    for a in rd.roots:
+        row = {}
+        for j, b in enumerate(rd.roots):
+            k = rd.root_index.get(tuple(map(add, a.coords, b.coords)))
+            if k is not None:
+                row[j] = k
+        rows.append(row)
+    return tuple(rows)
 
 
 def index_of(rd: RootDatum, root: Root) -> int:

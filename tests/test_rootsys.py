@@ -5,6 +5,9 @@ from __future__ import annotations
 import pytest
 from oracles import (
     cartan_pairing,
+    dense_generate_roots,
+    dense_reflection_perms,
+    dense_sum_table,
     index_of,
     p1_fibration_candidates,
     parabolic_from_nodes,
@@ -14,6 +17,7 @@ from oracles import (
 from transcripts import transcript
 
 from lieorbits.rootsys import (
+    ConsistencyError,
     Root,
     RootDatum,
     build_root_system,
@@ -91,6 +95,58 @@ def test_roots_are_one_signed_and_closed_under_negation():
         for r in rd.roots:
             assert all(c >= 0 for c in r.coords) or all(c <= 0 for c in r.coords)
             assert (-r).coords in rd.root_index
+
+
+ORACLE_KEYS = (
+    [("A", n) for n in range(1, 13)]
+    + [("A", 30)]
+    + [("B", n) for n in range(2, 13)]
+    + [("C", n) for n in range(2, 11)]
+    + [("D", n) for n in range(4, 17)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("key", ORACLE_KEYS, ids=lambda key: f"{key[0]}{key[1]}")
+def test_tables_match_the_dense_oracles(key):
+    # the reflection walk against a dense pairing of every root with every
+    # node, on the cached datum and on one built directly from the root list
+    cartan = cartan_matrix(*key)
+    roots = generate_roots(cartan)
+    assert roots == dense_generate_roots(cartan)
+    fresh = RootDatum(*key, cartan, roots)
+    perms, sums = dense_reflection_perms(fresh), dense_sum_table(fresh)
+    for rd in (fresh, build_root_system(*key)):
+        assert [r.coords for r in rd.roots] == roots
+        assert rd.reflection_perms() == perms
+        assert rd.sum_table() == sums
+
+
+def test_root_list_not_closed_is_refused():
+    # A3 without +-(0, 1, 1): s_1 sends (1, 1, 0) there
+    cartan = cartan_matrix("A", 3)
+    roots = [c for c in generate_roots(cartan) if c not in ((0, 1, 1), (0, -1, -1))]
+    rd = RootDatum("A", 3, cartan, roots)
+    with pytest.raises(ConsistencyError, match="not closed under the simple reflections"):
+        rd.reflection_perms()
+    with pytest.raises(ConsistencyError, match="not closed under the simple reflections"):
+        rd.sum_table()
+
+
+def test_root_list_with_a_stray_vector_is_refused():
+    # +-(1, 0, 1) is no root of A3, so the walk from the simple roots never meets it
+    cartan = cartan_matrix("A", 3)
+    roots = generate_roots(cartan)
+    n = len(roots) // 2
+    roots = roots[:n] + [(1, 0, 1)] + roots[n:] + [(-1, 0, -1)]
+    rd = RootDatum("A", 3, cartan, roots)
+    with pytest.raises(ConsistencyError, match="misses a root"):
+        rd.reflection_perms()
+
+
+def test_generate_roots_refuses_a_mixed_sign_vector():
+    with pytest.raises(ConsistencyError, match="mixed-sign vector generated"):
+        generate_roots(((2, 1), (1, 2)))
 
 
 # hand closure table of A2: the only nontrivial sum is a1 + a2
