@@ -155,12 +155,6 @@ def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
     raise ValueError("not a Borel root set")
 
 
-def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
-    """Root indices of the simple roots of ``b``, in node order."""
-    w = borel_to_weyl(rd, b)
-    return tuple(w.perm[rd.simple_root_index(i)] for i in range(rd.rank))
-
-
 def _absent_negatives(rd: RootDatum, x: WeylElement, s: RootSubset) -> frozenset[int]:
     """The nodes ``i`` whose root ``-x(alpha_i)`` is not in ``s``."""
     return frozenset(
@@ -322,7 +316,10 @@ def chain_walk(
     """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
     reflection per step, growing the intersection with ``b_ref`` by exactly
     one root each time; returned with the node of each step.  Each step flips
-    a simple root whose negative lies in ``b_ref & b_to``; at ``b_to`` none does."""
+    a simple root ``r`` whose negative lies in ``b_ref & b_to``; at ``b_to``
+    none does.  The step stays in ``p`` and gains exactly one root of
+    ``b_ref`` exactly when ``-r`` lies in ``p`` and in ``b_ref`` and ``r``
+    does not lie in ``b_ref``."""
     if not (b_from <= p and b_to <= p):
         raise ValueError("endpoint Borels must lie inside the parabolic")
     if not (b_from & b_ref) <= (b_to & b_ref):
@@ -331,13 +328,12 @@ def chain_walk(
     nodes, flipped, _ = borel_to_weyl(rd, b_from).walk(lambda i, r: r in target)
     borels = [b_from]
     for r in flipped:
-        cur = borels[-1]
-        nxt = RootSubset(rd, (cur.indices - {r}) | {rd.negative_index(r)})
-        if not nxt <= p or len(nxt & b_ref) != len(cur & b_ref) + 1:
+        neg = rd.negative_index(r)
+        if neg not in p or neg not in b_ref or r in b_ref:
             raise ConsistencyError(
                 "chain step violated its invariants", root=rd.roots[r].coords
             )
-        borels.append(nxt)
+        borels.append(RootSubset(rd, (borels[-1].indices - {r}) | {neg}))
     if borels[-1] != b_to:
         raise ConsistencyError(
             "chain stuck before reaching the target Borel",

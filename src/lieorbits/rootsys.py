@@ -107,90 +107,95 @@ def validate_type(lie_type: str, rank: int) -> None:
         raise ValueError(f"type {lie_type} requires rank {bound}, got {rank}")
 
 
-def _reflection_walk(cartan: Sequence[Sequence[int]], index: dict[tuple[int, ...], int]):
+def _reflection_walk(
+    cartan: Sequence[Sequence[int]],
+) -> tuple[dict[tuple[int, ...], int], list[int]]:
     """Walk the roots breadth first from the simple roots by simple reflections.
 
-    ``index`` maps root coordinates to ids; a root the walk meets that it
-    lacks is added with the next free id.  Yields ``(r, moves)`` once for
-    the id ``r`` of every root reached, where ``moves`` lists ``(i, k)`` for
-    each node ``i`` whose reflection sends root ``r`` to root ``k``; every
-    other simple reflection fixes it.  Each root of the frontier carries its
-    weight coordinates ``p_i = <c, alphacheck_i>``, so a step by ``s_i`` is
-    taken only where ``p_i != 0``: it lowers coordinate ``i`` of ``c`` by
-    ``p_i`` and changes only the entries of ``p`` where column ``i`` of the
-    Cartan matrix is nonzero.
+    Returns ``(index, moves)``.  ``index`` maps the coordinates of every root
+    reached to its id, numbered in the order the walk meets them.  ``moves``
+    is flat, three ints ``r, i, k`` per move: the reflection of node ``i``
+    sends root ``r`` to root ``k``; every other simple reflection fixes root
+    ``r``.  Each root of the frontier carries its weight coordinates
+    ``p_i = <c, alphacheck_i>``, so a step by ``s_i`` is taken only where
+    ``p_i != 0``: it lowers coordinate ``i`` of ``c`` by ``p_i`` and changes
+    only the entries of ``p`` where column ``i`` of the Cartan matrix is
+    nonzero.
     """
     rank = len(cartan)
     # column i of the Cartan matrix is alpha_i in weight coordinates
     columns = [[(k, row[i]) for k, row in enumerate(cartan) if row[i]] for i in range(rank)]
+    index: dict[tuple[int, ...], int] = {}
+    moves: list[int] = []
     frontier = []
     for i in range(rank):
         c = tuple(1 if k == i else 0 for k in range(rank))
-        frontier.append((index.setdefault(c, len(index)), c, [row[i] for row in cartan]))
-    visited = {r for r, _, _ in frontier}
+        index[c] = i
+        frontier.append((i, c, [row[i] for row in cartan]))
     while frontier:
         fresh = []
         for r, c, p in frontier:
-            moves = []
             for i, x in enumerate(p):
                 if x:
                     img = c[:i] + (c[i] - x,) + c[i + 1 :]
-                    k = index.setdefault(img, len(index))
-                    moves.append((i, k))
-                    if k not in visited:
-                        visited.add(k)
+                    n = len(index)
+                    k = index.setdefault(img, n)
+                    moves += (r, i, k)
+                    if k == n:
                         q = p.copy()
                         for j, a in columns[i]:
                             q[j] -= x * a
                         fresh.append((k, img, q))
-            yield r, moves
         frontier = fresh
-
-
-def generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Saturate the simple roots under all simple reflections, by the
-    reflection walk (``_reflection_walk``).
-
-    Returns every root, positives first (sorted by height then coordinates),
-    negatives mirrored in the same order.
-    """
-    index: dict[tuple[int, ...], int] = {}
-    for _ in _reflection_walk(cartan, index):
-        pass
-    seen = list(index)
-    positives = sorted(
-        (c for c in seen if all(x >= 0 for x in c)),
-        key=lambda c: (sum(c), c),
-    )
-    for c in seen:
-        if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
-            raise ConsistencyError(f"mixed-sign vector generated: {c}")
-    if 2 * len(positives) != len(seen):
-        raise ConsistencyError("positives do not account for half the roots")
-    return positives + [tuple(-x for x in c) for c in positives]
+    return index, moves
 
 
 class RootDatum:
     """All roots of one simple type, with pairings and lookup tables.
 
-    Immutable after construction; instances compare by identity and may be
-    shared freely.  The only mutable state is the lazily built reflection
-    and sum tables, which are safe under CPython's GIL for the single-writer
+    Built from the Cartan matrix by one reflection walk
+    (``_reflection_walk``), which yields both the roots and the reflection
+    permutations.  Immutable after construction; instances compare by
+    identity and may be shared freely.  The only mutable state is the lazily
+    built sum table, which is safe under CPython's GIL for the single-writer
     uses in this library.
     """
 
-    def __init__(self, lie_type: str, rank: int, cartan, roots: list[tuple[int, ...]]):
+    def __init__(self, lie_type: str, rank: int, cartan):
         self.lie_type = lie_type
         self.rank = rank
         self.cartan = cartan
+        index, moves = _reflection_walk(cartan)
+        positives = sorted(
+            (c for c in index if all(x >= 0 for x in c)),
+            key=lambda c: (sum(c), c),
+        )
+        for c in index:
+            if not (all(x >= 0 for x in c) or all(x <= 0 for x in c)):
+                raise ConsistencyError(f"mixed-sign vector generated: {c}")
+        if 2 * len(positives) != len(index):
+            raise ConsistencyError("positives do not account for half the roots")
+        # positives sorted by height then coordinates, negatives mirrored
+        roots = positives + [tuple(-x for x in c) for c in positives]
         self.roots = tuple(Root(c) for c in roots)
-        self.positive_count = len(roots) // 2
+        self.positive_count = len(positives)
         self.root_index = {c: i for i, c in enumerate(roots)}
-        self._simple_index = {
-            i: self.root_index[tuple(1 if k == i else 0 for k in range(rank))]
-            for i in range(rank)
-        }
-        self._reflections: Optional[tuple[tuple[int, ...], ...]] = None
+        position = [0] * len(roots)
+        for c, r in index.items():
+            position[r] = self.root_index[c]
+        # the walk numbers the simple roots 0..rank-1 in node order
+        self._simple_index = dict(enumerate(position[:rank]))
+        # copies of one list share their int objects, which above 256 are
+        # not cached
+        ids = list(range(len(roots)))
+        perms = [ids.copy() for _ in range(rank)]
+        step = iter(moves)
+        for r, i, k in zip(step, step, step):
+            perms[i][position[r]] = position[k]
+        # one list at a time, so the lists and their tuples never all coexist
+        for i in range(rank):
+            perms[i] = tuple(perms[i])
+        self._reflections = tuple(perms)
         self._sums: Optional[tuple[dict[int, int], ...]] = None
 
     def __repr__(self) -> str:
@@ -260,38 +265,9 @@ class RootDatum:
         return self._sums
 
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
-        """Permutation of the root list induced by each simple reflection;
-        built on first use.
-
-        Filled by the reflection walk (``_reflection_walk``) over this
-        datum's Cartan matrix and a copy of ``root_index``: each move the
-        walk takes is one entry, and every other entry is a fixed point.  A
-        root list that is not closed under the reflections, or that the walk
-        does not reach in full, raises ``ConsistencyError``.
-        """
-        if self._reflections is None:
-            n = len(self.roots)
-            known = len(self.root_index)
-            index = dict(self.root_index)
-            # copies of one list share their int objects, which above 256
-            # are not cached
-            ids = list(range(n))
-            perms = [ids.copy() for _ in range(self.rank)]
-            reached = 0
-            for r, moves in _reflection_walk(self.cartan, index):
-                if len(index) > known:
-                    raise ConsistencyError(
-                        "root list is not closed under the simple reflections",
-                        root=self.roots[r].coords, image=list(index)[known],
-                    )
-                for i, k in moves:
-                    perms[i][r] = k
-                reached += 1
-            if reached != n:
-                raise ConsistencyError(
-                    "reflection walk misses a root", reached=reached, roots=n
-                )
-            self._reflections = tuple(map(tuple, perms))
+        """Permutation of the root list induced by each simple reflection,
+        filled at construction from the moves of the reflection walk; every
+        entry the walk does not move is a fixed point."""
         return self._reflections
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -313,9 +289,7 @@ def build_root_system(lie_type: str, rank: int) -> RootDatum:
     validate_type(lie_type, rank)
     if lie_type == "D" and rank == 3:
         return build_root_system("A", 3)
-    cartan = cartan_matrix(lie_type, rank)
-    roots = generate_roots(cartan)
-    return RootDatum(lie_type, rank, cartan, roots)
+    return RootDatum(lie_type, rank, cartan_matrix(lie_type, rank))
 
 
 @dataclass(frozen=True)

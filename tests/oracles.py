@@ -30,7 +30,7 @@ from lieorbits.weyl import CosetOrbit, WeylElement, simple_reflection
 
 
 def dense_generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
-    """Every root, ordered as ``generate_roots`` orders them, by closing the
+    """Every root, ordered as ``RootDatum`` orders them, by closing the
     simple roots under every simple reflection with the dense pairing
     ``sum(cartan[i][k] * c[k])`` of each root against each node."""
     rank = len(cartan)
@@ -179,6 +179,12 @@ def parabolic_from_nodes(rd: RootDatum, sigma: Iterable[int], b: RootSubset) -> 
     std = standard_parabolic_set(rd, sigma)
     w = borel_to_weyl(rd, b)
     return apply_element(w, std) if w.length else std
+
+
+def simple_roots_of_borel(rd: RootDatum, b: RootSubset) -> tuple[int, ...]:
+    """Root indices of the simple roots of ``b``, in node order."""
+    w = borel_to_weyl(rd, b)
+    return tuple(w.perm[rd.simple_root_index(i)] for i in range(rd.rank))
 
 
 def borel_chain(

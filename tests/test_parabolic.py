@@ -11,6 +11,7 @@ from oracles import (
     closure,
     is_parabolic,
     parabolic_from_nodes,
+    simple_roots_of_borel,
     subset_from_json,
     sum_absorption_holds,
 )
@@ -28,7 +29,6 @@ from lieorbits.parabolic import (
     next_borels,
     parabolic_sequence,
     sigma_of,
-    simple_roots_of_borel,
     standard_borel,
     standard_parabolic_set,
     subset_of,

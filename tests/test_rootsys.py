@@ -16,6 +16,7 @@ from oracles import (
 )
 from transcripts import transcript
 
+from lieorbits import rootsys
 from lieorbits.rootsys import (
     ConsistencyError,
     Root,
@@ -23,7 +24,6 @@ from lieorbits.rootsys import (
     build_root_system,
     cartan_matrix,
     diagram_components_after_removal,
-    generate_roots,
     involution_i,
 )
 
@@ -61,8 +61,10 @@ def test_rank_one_is_plus_minus_alpha():
 def test_regeneration_is_idempotent():
     for key in CLASSICAL_COUNTS:
         rd = build_root_system(*key)
-        again = generate_roots(rd.cartan)
-        assert again == [r.coords for r in rd.roots]
+        again = RootDatum(*key, rd.cartan)
+        assert again is not rd
+        assert again.roots == rd.roots
+        assert again.reflection_perms() == rd.reflection_perms()
 
 
 def test_d3_normalises_to_a3():
@@ -110,11 +112,11 @@ ORACLE_KEYS = (
 @pytest.mark.parametrize("key", ORACLE_KEYS, ids=lambda key: f"{key[0]}{key[1]}")
 def test_tables_match_the_dense_oracles(key):
     # the reflection walk against a dense pairing of every root with every
-    # node, on the cached datum and on one built directly from the root list
+    # node, on the cached datum and on one built directly from the Cartan matrix
     cartan = cartan_matrix(*key)
-    roots = generate_roots(cartan)
+    fresh = RootDatum(*key, cartan)
+    roots = [r.coords for r in fresh.roots]
     assert roots == dense_generate_roots(cartan)
-    fresh = RootDatum(*key, cartan, roots)
     perms, sums = dense_reflection_perms(fresh), dense_sum_table(fresh)
     for rd in (fresh, build_root_system(*key)):
         assert [r.coords for r in rd.roots] == roots
@@ -122,31 +124,25 @@ def test_tables_match_the_dense_oracles(key):
         assert rd.sum_table() == sums
 
 
-def test_root_list_not_closed_is_refused():
-    # A3 without +-(0, 1, 1): s_1 sends (1, 1, 0) there
-    cartan = cartan_matrix("A", 3)
-    roots = [c for c in generate_roots(cartan) if c not in ((0, 1, 1), (0, -1, -1))]
-    rd = RootDatum("A", 3, cartan, roots)
-    with pytest.raises(ConsistencyError, match="not closed under the simple reflections"):
-        rd.reflection_perms()
-    with pytest.raises(ConsistencyError, match="not closed under the simple reflections"):
-        rd.sum_table()
+@pytest.mark.parametrize("key", [("A", 4), ("E", 6)], ids=lambda key: f"{key[0]}{key[1]}")
+def test_one_reflection_walk_builds_a_datum(monkeypatch, key):
+    walk = rootsys._reflection_walk
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return walk(*args)
+
+    monkeypatch.setattr(rootsys, "_reflection_walk", counted)
+    rd = RootDatum(*key, cartan_matrix(*key))
+    rd.reflection_perms()
+    rd.sum_table()
+    assert len(calls) == 1
 
 
-def test_root_list_with_a_stray_vector_is_refused():
-    # +-(1, 0, 1) is no root of A3, so the walk from the simple roots never meets it
-    cartan = cartan_matrix("A", 3)
-    roots = generate_roots(cartan)
-    n = len(roots) // 2
-    roots = roots[:n] + [(1, 0, 1)] + roots[n:] + [(-1, 0, -1)]
-    rd = RootDatum("A", 3, cartan, roots)
-    with pytest.raises(ConsistencyError, match="misses a root"):
-        rd.reflection_perms()
-
-
-def test_generate_roots_refuses_a_mixed_sign_vector():
+def test_datum_refuses_a_mixed_sign_vector():
     with pytest.raises(ConsistencyError, match="mixed-sign vector generated"):
-        generate_roots(((2, 1), (1, 2)))
+        RootDatum("A", 2, ((2, 1), (1, 2)))
 
 
 # hand closure table of A2: the only nontrivial sum is a1 + a2

@@ -64,7 +64,8 @@ TEST_ONLY = {
     "rootsys": ("root_sum", "cartan_pairing"),
     "weyl": ("act_on_root",),
     "parabolic": (
-        "closure", "is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds"
+        "closure", "is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds",
+        "simple_roots_of_borel",
     ),
     "curves": ("p1_fibration_candidates", "FibrationCandidate", "lift_feasible"),
 }

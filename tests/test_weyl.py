@@ -15,7 +15,6 @@ from lieorbits.rootsys import (
     RootDatum,
     build_root_system,
     cartan_matrix,
-    generate_roots,
 )
 from lieorbits.orbits import orbit_table
 from lieorbits.weyl import (
@@ -245,8 +244,7 @@ def test_permutation_to_word_fixtures():
 
 def test_weyl_cap_is_enforced(monkeypatch):
     monkeypatch.setenv("LIE_MAX_WEYL", "10")
-    cartan = cartan_matrix("A", 3)
-    fresh = RootDatum("A", 3, cartan, generate_roots(cartan))
+    fresh = RootDatum("A", 3, cartan_matrix("A", 3))
     with pytest.raises(ValueError, match="LIE_MAX_WEYL"):
         weyl_group(fresh)
 
