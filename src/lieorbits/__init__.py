@@ -25,7 +25,6 @@ from .weyl import (
 from .parabolic import (
     ParabolicSequence,
     RootSubset,
-    contains_borel,
     max_parabolic_pair,
     next_borels,
     parabolic_sequence,

@@ -16,8 +16,8 @@ from .parabolic import (
     apply_element,
     borel_to_weyl,
     chain_walk,
-    contains_borel,
     is_borel,
+    is_covering,
     max_parabolic_pair,
     nearest_borel,
     parabolic_sequence,
@@ -99,7 +99,9 @@ def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> Desing
             pieces.append([(origin, lo, hi)])
     junctions = [factors[i] & factors[i + 1] for i in range(len(factors) - 1)]
     for i, junction in enumerate(junctions):
-        if contains_borel(rd, junction) is None:
+        # the seam Borel: the chain leaves factor i at the bottom of its last
+        # piece, which is the top of factor i + 1's first piece
+        if not pieces[i][-1][1] <= junction:
             raise ConsistencyError("junction does not contain a Borel", position=i)
     below = junctions + [standard_parabolic_set(rd, p_nodes)]
     return DesingTower(
@@ -178,10 +180,14 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
 def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> bool:
     """Sufficient (not necessary) smoothness test for the Schubert variety:
     whether the first maximal parabolic pair already shares a Borel, i.e.
-    the resolved variety is homogeneous under a parabolic subgroup."""
+    the resolved variety is homogeneous under a parabolic subgroup.
+
+    The intersection of two parabolics is closed, so it holds a Borel
+    exactly when it covers every opposite pair (Bourbaki, Lie Groups and
+    Lie Algebras, ch. VI §1.7, Prop. 20)."""
     b, w2 = borel_completion(rd, p_nodes, w)
     p1, pp1 = max_parabolic_pair(rd, b, apply_element(w2, b))
-    return contains_borel(rd, p1 & pp1) is not None
+    return is_covering(rd, p1 & pp1)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from .parabolic import (
     ConsistencyError,
     RootSubset,
     apply_element,
-    contains_borel,
+    is_covering,
     standard_parabolic_set,
     subset_of,
 )
@@ -72,7 +72,10 @@ def is_dense_orbit(
 ) -> bool:
     """Whether the orbit attached to ``w`` fills the quotient.
 
-    Decided by whether ``p & -w(p')`` contains a Borel.  With
+    Decided by whether ``p & -w(p')`` contains a Borel, that is, whether
+    it covers every opposite pair: an intersection of two parabolics is
+    closed, and a closed set covering every pair is parabolic (Bourbaki,
+    Lie Groups and Lie Algebras, ch. VI §1.7, Prop. 20).  With
     ``cross_check`` the equivalent orbit characterisation (``w`` lies in
     the longest element's coset orbit) is computed as well and the two are
     asserted to agree: ``w`` and the longest element are each reduced to
@@ -81,7 +84,7 @@ def is_dense_orbit(
     p_nodes, pprime_nodes = rd.check_nodes(p_nodes), rd.check_nodes(pprime_nodes)
     p = standard_parabolic_set(rd, p_nodes)
     moved = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
-    dense = contains_borel(rd, p & moved.negated()) is not None
+    dense = is_covering(rd, p & moved.negated())
     if cross_check:
         left = weyl_generators(rd, p_nodes)
         right = weyl_generators(rd, pprime_nodes)

@@ -8,12 +8,19 @@ parabolic is a closed subset containing at least one root of each pair.
 Cartan part is implicit and never stored.  Every Borel the recursion derives
 is the Borel inside some parabolic nearest to a given Borel
 (``nearest_borel``).
+
+Whether a root set is a Borel is decided by the Weyl walk of
+``borel_to_weyl``, which reaches exactly the Borels among the sets of one
+root per opposite pair; no sum of roots is ever looked up.  Whether an
+intersection of two parabolics holds a Borel is ``is_covering``: such an
+intersection is closed, and a closed set covering every opposite pair is
+parabolic (Bourbaki, Lie Groups and Lie Algebras, ch. VI §1.7, Prop. 20).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .rootsys import ConsistencyError, RootDatum
 from .weyl import WeylElement, identity
@@ -92,21 +99,6 @@ def apply_element(w: WeylElement, s: RootSubset) -> RootSubset:
     return RootSubset(s.rd, frozenset(map(w.perm.__getitem__, s.indices)))
 
 
-def closed_violation(rd: RootDatum, s: RootSubset) -> Optional[tuple[int, int, int]]:
-    """A witness (i, j, i+j) that the subset is not closed, if any."""
-    sums = rd.sum_table()
-    members = s.indices
-    for i in members:
-        for j, k in sums[i].items():
-            if j in members and k not in members:
-                return (i, j, k)
-    return None
-
-
-def is_closed(rd: RootDatum, s: RootSubset) -> bool:
-    return closed_violation(rd, s) is None
-
-
 def is_covering(rd: RootDatum, s: RootSubset) -> bool:
     """At least one of each opposite pair of roots is present."""
     return all(
@@ -120,10 +112,6 @@ def _one_per_pair(rd: RootDatum, s: RootSubset) -> bool:
     # root p and its negative p + n share the residue p mod n, so n roots
     # meet every opposite pair once exactly when their residues are distinct
     return len(s) == n and len({i % n for i in s.indices}) == n
-
-
-def is_borel(rd: RootDatum, s: RootSubset) -> bool:
-    return _one_per_pair(rd, s) and is_closed(rd, s)
 
 
 def nearest_borel(rd: RootDatum, q: RootSubset, c: RootSubset) -> RootSubset:
@@ -155,6 +143,16 @@ def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
     raise ValueError("not a Borel root set")
 
 
+def is_borel(rd: RootDatum, s: RootSubset) -> bool:
+    """Whether ``s`` is a Borel: whether the walk of ``borel_to_weyl``
+    reaches it."""
+    try:
+        borel_to_weyl(rd, s)
+    except ValueError:
+        return False
+    return True
+
+
 def _absent_negatives(rd: RootDatum, x: WeylElement, s: RootSubset) -> frozenset[int]:
     """The nodes ``i`` whose root ``-x(alpha_i)`` is not in ``s``."""
     return frozenset(
@@ -169,26 +167,6 @@ def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
     if not b <= p:
         raise ValueError("Borel is not contained in the parabolic")
     return _absent_negatives(rd, borel_to_weyl(rd, b), p)
-
-
-def contains_borel(rd: RootDatum, s: RootSubset) -> Optional[RootSubset]:
-    """The Borel inside a closed subset nearest to the standard Borel, or
-    None when the subset misses both roots of some opposite pair."""
-    witness = closed_violation(rd, s)
-    if witness is not None:
-        i, j, k = witness
-        raise ValueError(
-            f"subset not closed: {rd.roots[i].coords} + {rd.roots[j].coords} "
-            f"= {rd.roots[k].coords} is missing"
-        )
-    if not is_covering(rd, s):
-        return None
-    out = nearest_borel(rd, s, standard_borel(rd))
-    if not is_borel(rd, out):
-        raise ConsistencyError(
-            "closed covering subset holds no Borel", subset=s.coords(), chosen=out.coords()
-        )
-    return out
 
 
 def max_parabolic_pair(

@@ -3,10 +3,11 @@
 Each one re-derives a quantity the library computes another way, or checks
 a property of its results: the root list, reflection permutations and sum
 rows by dense coordinate arithmetic, root lookups, root sums and pairings,
-the closure of a root set under addition, the members of a double coset by
-breadth-first search, parabolics over an arbitrary Borel, Borel chains,
-the P^1-fibration candidates of a quotient and the numeric lifting rule
-through a ruled surface.
+the closure of a root set under addition, closedness and the Borel inside
+a closed set (the references for the library's Borel walk and covering
+test), the members of a double coset by breadth-first search, parabolics
+over an arbitrary Borel, Borel chains, the P^1-fibration candidates of a
+quotient and the numeric lifting rule through a ruled surface.
 """
 
 from __future__ import annotations
@@ -21,8 +22,10 @@ from lieorbits.parabolic import (
     apply_element,
     borel_to_weyl,
     chain_walk,
-    is_closed,
+    is_borel,
     is_covering,
+    nearest_borel,
+    standard_borel,
     standard_parabolic_set,
 )
 from lieorbits.rootsys import ConsistencyError, Root, RootDatum
@@ -111,6 +114,47 @@ def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
                     fresh.append(k)
         frontier = fresh
     return frozenset(out)
+
+
+def closed_violation(rd: RootDatum, s: RootSubset) -> Optional[tuple[int, int, int]]:
+    """A witness (i, j, i+j) that the subset is not closed, if any."""
+    sums = rd.sum_table()
+    members = s.indices
+    for i in members:
+        for j, k in sums[i].items():
+            if j in members and k not in members:
+                return (i, j, k)
+    return None
+
+
+def is_closed(rd: RootDatum, s: RootSubset) -> bool:
+    return closed_violation(rd, s) is None
+
+
+def is_borel_by_definition(rd: RootDatum, s: RootSubset) -> bool:
+    """One root of each opposite pair, and closed under addition."""
+    n = rd.positive_count
+    return len(s) == n == len({i % n for i in s.indices}) and is_closed(rd, s)
+
+
+def contains_borel(rd: RootDatum, s: RootSubset) -> Optional[RootSubset]:
+    """The Borel inside a closed subset nearest to the standard Borel, or
+    None when the subset misses both roots of some opposite pair."""
+    witness = closed_violation(rd, s)
+    if witness is not None:
+        i, j, k = witness
+        raise ValueError(
+            f"subset not closed: {rd.roots[i].coords} + {rd.roots[j].coords} "
+            f"= {rd.roots[k].coords} is missing"
+        )
+    if not is_covering(rd, s):
+        return None
+    out = nearest_borel(rd, s, standard_borel(rd))
+    if not is_borel(rd, out):
+        raise ConsistencyError(
+            "closed covering subset holds no Borel", subset=s.coords(), chosen=out.coords()
+        )
+    return out
 
 
 def root_sum(rd: RootDatum, gamma: Root, delta: Root) -> Optional[Root]:

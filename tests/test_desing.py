@@ -8,9 +8,11 @@ Regenerate the golden file from a trusted tree with
 from __future__ import annotations
 
 import functools
+import random
 from itertools import combinations, permutations
 
 import pytest
+from oracles import is_borel_by_definition
 from transcripts import GOLDEN_DIR, check_golden, write_golden
 
 from lieorbits.desing import (
@@ -146,6 +148,30 @@ def test_borel_completion_spans_p_and_w_of_b_and_stays_in_the_right_coset(key):
         assert w.inverse() * w2 in left_coset(rd, gens, identity(rd))  # w2 in w W_P
         left_misses += w2 not in left_coset(rd, gens, w)
     assert left_misses > 0  # W_P w does not always contain w2
+
+
+@pytest.mark.parametrize("key", [("A", 3), ("B", 3), ("C", 3), ("G", 2), ("A", 4)], ids=type_id)
+def test_each_junction_holds_the_borel_where_the_refinement_chain_crosses_it(key):
+    # the seam Borel ends factor i's last piece and starts factor i + 1's first
+    rd = build_root_system(*key)
+    cases = [
+        (w, marks)
+        for w in weyl_group(rd)
+        for k in range(rd.rank + 1)
+        for marks in combinations(range(rd.rank), k)
+    ]
+    if key == ("A", 4):
+        cases = random.Random("seams A4").sample(cases, 400)
+    seams = 0
+    for w, marks in cases:
+        t = build_tower(rd, marks, w)
+        for i in range(len(t.junctions)):
+            seam = t.pieces[i][-1][1]
+            assert seam == t.pieces[i + 1][0][2]
+            assert is_borel_by_definition(rd, seam)
+            assert seam <= t.factors[i] and seam <= t.factors[i + 1]
+            seams += 1
+    assert seams > 0
 
 
 def contains_pattern(seq, pattern):

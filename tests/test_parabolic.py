@@ -8,7 +8,10 @@ from itertools import combinations
 import pytest
 from oracles import (
     borel_chain,
+    closed_violation,
     closure,
+    contains_borel,
+    is_borel_by_definition,
     is_parabolic,
     parabolic_from_nodes,
     simple_roots_of_borel,
@@ -20,8 +23,6 @@ from lieorbits.parabolic import (
     ConsistencyError,
     apply_element,
     borel_to_weyl,
-    closed_violation,
-    contains_borel,
     is_borel,
     is_covering,
     max_parabolic_pair,
@@ -421,10 +422,14 @@ def test_borel_to_weyl_agrees_with_is_borel_on_random_one_per_pair_sets(key):
 
 
 def borel_to_weyl_agrees_with_is_borel(b):
-    """Whether ``b`` is a Borel, after checking that ``borel_to_weyl`` takes
-    it to an element moving the standard Borel onto it, or refuses it."""
+    """Whether ``b`` is a Borel by the definition (one root per opposite
+    pair, closed under addition), after checking that ``is_borel`` says the
+    same and that ``borel_to_weyl`` takes it to an element moving the
+    standard Borel onto it, or refuses it."""
     rd = b.rd
-    if not is_borel(rd, b):
+    borel = is_borel_by_definition(rd, b)
+    assert is_borel(rd, b) == borel
+    if not borel:
         with pytest.raises(ValueError, match="not a Borel root set"):
             borel_to_weyl(rd, b)
         return False
@@ -466,3 +471,24 @@ def test_nearest_borel_is_the_one_borel_inside_q_sharing_most_roots(key, count):
             best = max(len(b & c) for b in inside)
             (gate,) = [b for b in inside if len(b & c) == best]
             assert nearest_borel(rd, q, c) == gate
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 3), ("G", 2)], ids=lambda key: f"{key[0]}{key[1]}"
+)
+def test_is_covering_decides_whether_a_parabolic_intersection_holds_a_borel(key):
+    # an intersection of two parabolics is closed, and a closed set covering
+    # every opposite pair is parabolic (Bourbaki VI §1.7 Prop. 20)
+    rd = build_root_system(*key)
+    parabolics = [standard_parabolic_set(rd, sigma) for sigma in node_subsets(rd.rank)]
+    verdicts = set()
+    for w in weyl_group(rd):
+        for q in parabolics:
+            moved = apply_element(w, q)
+            for p in parabolics:
+                for other in (moved, moved.negated()):
+                    meet = p & other
+                    holds = contains_borel(rd, meet) is not None
+                    assert is_covering(rd, meet) == holds
+                    verdicts.add(holds)
+    assert verdicts == {True, False}

@@ -65,7 +65,7 @@ TEST_ONLY = {
     "weyl": ("act_on_root",),
     "parabolic": (
         "closure", "is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds",
-        "simple_roots_of_borel",
+        "simple_roots_of_borel", "contains_borel", "closed_violation", "is_closed",
     ),
     "curves": ("p1_fibration_candidates", "FibrationCandidate", "lift_feasible"),
 }
@@ -87,6 +87,27 @@ def test_test_only_routines_are_not_library_attributes():
 def test_root_lookups_that_only_tests_call_are_not_datum_methods():
     assert not hasattr(lieorbits.RootDatum, "index_of")
     assert not hasattr(lieorbits.RootDatum, "sum_index")
+
+
+def test_the_tower_and_orbit_pipelines_never_build_the_sum_table(monkeypatch):
+    # the walk decides "is a Borel" and the covering test "holds a Borel"
+    from lieorbits.weyl import from_word
+
+    rd = lieorbits.RootDatum("E", 8, lieorbits.cartan_matrix("E", 8))
+
+    def refuse():
+        raise AssertionError("sum table built")
+
+    monkeypatch.setattr(rd, "sum_table", refuse)
+    w = from_word(rd, [0, 2, 3, 4, 1, 3, 4, 5, 6, 7, 4, 3, 2, 0, 5, 4])
+    for marks in ((), (0,), (1, 6)):
+        lieorbits.demazure_refinement(rd, lieorbits.build_tower(rd, marks, w))
+        lieorbits.smoothness_sufficient(rd, marks, w)
+        lieorbits.minimal_schubert(rd, marks, w)
+    table = lieorbits.orbit_table(rd, {7}, {7})
+    assert sum(o.dense for o in table) == 1
+    for o in table:
+        assert lieorbits.is_dense_orbit(rd, o.w, {7}, {7}, cross_check=True) == o.dense
 
 
 def qualified_functions(body, prefix=""):
