@@ -16,14 +16,12 @@ match the marks of P) or an internal invariant failure
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, TextIO
 
-from . import curves, desing, orbits, rootsys, weyl
-from .parabolic import sigma_of
+from . import rootsys
 
 
 class ParseExit(Exception):
@@ -72,7 +70,9 @@ def _parse_word(raw: str, lie_type: str, rank: int) -> tuple[int, ...]:
     if len(toks) == 1 and len(toks[0]) > 1 and toks[0].isdigit() and rank <= 9:
         digits = [int(ch) for ch in toks[0]]
         if lie_type == "A" and sorted(digits) == list(range(1, rank + 2)):
-            return weyl.permutation_to_word(digits)
+            from .weyl import permutation_to_word
+
+            return permutation_to_word(digits)
         toks = list(toks[0])  # compact word, e.g. "121"
     out = []
     for tok in toks:
@@ -144,6 +144,8 @@ def parse_query(argv: Sequence[str]) -> Query:
     )
     word = _parse_word(ns.word, ns.lie_type, ns.rank) if ns.word is not None else None
     degrees = _parse_degrees(ns.degrees) if ns.degrees is not None else None
+    if ns.fmt == "dot" and not COMMANDS[ns.command].dot:
+        raise ParseExit(f"error: --format dot is not supported for {ns.command}")
     return Query(
         ns.command, ns.lie_type, ns.rank, p_nodes, pp_nodes, word, degrees, ns.fmt
     )
@@ -163,6 +165,8 @@ def _word_text(word) -> str:
 
 
 def _emit_json(out: TextIO, payload) -> None:
+    import json
+
     out.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
@@ -211,6 +215,8 @@ def _root_system(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _orbits(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import orbits
+
     table = orbits.orbit_table(rd, p_nodes, q.pprime_nodes)
     if q.fmt == "json":
         return _emit_json(
@@ -235,6 +241,8 @@ def _orbits(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _codim(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import orbits
+
     verdict = orbits.complement_codim_ge2(rd, p_nodes, q.pprime_nodes)
     if q.fmt == "json":
         return _emit_json(
@@ -249,6 +257,8 @@ def _codim(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _levi(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import orbits
+
     lq = orbits.levi_quotient(rd, p_nodes, q.pprime_nodes)
     if q.fmt == "json":
         factors = [
@@ -272,6 +282,8 @@ def _levi(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _nilradical(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import orbits
+
     nf = orbits.nilradical_filtration(rd, q.pprime_nodes)
     if q.fmt == "json":
         layers = [layer.to_json() for layer in nf.layers]
@@ -285,6 +297,8 @@ def _nilradical(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _curves(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import curves
+
     c = curves.curve_class(p_nodes, q.degrees)
     verdict = curves.decide_smooth_rational_curve(rd, p_nodes, c)
     if q.fmt == "json":
@@ -316,6 +330,8 @@ def _curves(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _hilbert(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import curves
+
     c = curves.curve_class(p_nodes, q.degrees)
     dim = curves.hilbert_dimension(rd, p_nodes, c)
     if q.fmt == "json":
@@ -324,9 +340,11 @@ def _hilbert(rd, q: Query, p_nodes, out: TextIO) -> None:
     out.write(f"{dim}\n")
 
 
-def _tower_dot(rd, t: desing.DesingTower) -> str:
+def _tower_dot(rd, t) -> str:
     """Factor boxes labelled by the sequence steps merged into them and their
     marked nodes; edges labelled with the fibre dimension of each step."""
+    from .parabolic import sigma_of
+
     names = {"p": "P", "pprime": "P'"}
     lines = ["digraph tower {", "  rankdir=LR;", "  node [shape=box];"]
     for i, (factor, pieces) in enumerate(zip(t.factors, t.pieces), start=1):
@@ -342,6 +360,9 @@ def _tower_dot(rd, t: desing.DesingTower) -> str:
 
 
 def _desing(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import desing, weyl
+    from .parabolic import sigma_of
+
     t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
     if q.fmt == "dot":
         out.write(_tower_dot(rd, t))
@@ -376,6 +397,8 @@ def _desing(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _refine(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import desing, weyl
+
     t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
     chain = desing.demazure_refinement(rd, t)
     if q.fmt == "json":
@@ -391,6 +414,8 @@ def _refine(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _smooth(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import desing, weyl
+
     verdict = desing.smoothness_sufficient(rd, p_nodes, weyl.from_word(rd, q.word))
     if q.fmt == "json":
         return _emit_json(out, {"smooth_sufficient": verdict})
@@ -398,6 +423,8 @@ def _smooth(rd, q: Query, p_nodes, out: TextIO) -> None:
 
 
 def _minimal(rd, q: Query, p_nodes, out: TextIO) -> None:
+    from . import desing, weyl
+
     model = desing.minimal_schubert(rd, p_nodes, weyl.from_word(rd, q.word))
     if q.fmt == "json":
         return _emit_json(
@@ -421,7 +448,8 @@ class Command:
     """One subcommand: its help line, the flags it needs, whether it
     renders DOT, and its handler.  The handler writes the command's output
     in the query's format; it gets the P marks with --p defaulting to every
-    node (P = B)."""
+    node (P = B).  Each handler imports the library modules it runs, so a
+    fresh ``lie`` process loads only those."""
 
     help: str
     required: tuple[str, ...]
@@ -470,12 +498,9 @@ def run_query(q: Query, out) -> int:
     """Execute a query, writing deterministic bytes to ``out``."""
     rd = rootsys.build_root_system(q.lie_type, q.rank)
     p_nodes = q.p_nodes if q.p_nodes is not None else frozenset(range(rd.rank))
-    command = COMMANDS[q.command]
-    if q.fmt == "dot" and not command.dot:
-        raise ParseExit(f"error: --format dot is not supported for {q.command}")
     try:
-        command.handler(rd, q, p_nodes, out)
-    except orbits.DomainRefusal as exc:
+        COMMANDS[q.command].handler(rd, q, p_nodes, out)
+    except rootsys.DomainRefusal as exc:
         if q.fmt == "json":
             _emit_json(out, {"error": "domain_refusal", "reason": str(exc)})
         else:

@@ -11,8 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .orbits import DomainRefusal, nilradical_roots, quotient_dimension
-from .rootsys import ConsistencyError, RootDatum, diagram_components_after_removal
+from .parabolic import nilradical_roots, quotient_dimension
+from .rootsys import ConsistencyError, DomainRefusal, RootDatum, diagram_components_after_removal
 
 
 @dataclass(frozen=True)

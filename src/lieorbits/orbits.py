@@ -18,11 +18,14 @@ from .parabolic import (
     RootSubset,
     apply_element,
     is_covering,
+    nilradical_roots,
+    quotient_dimension,
     standard_parabolic_set,
     subset_of,
 )
 from .rootsys import (
     DiagramComponent,
+    DomainRefusal,
     RootDatum,
     diagram_components_after_removal,
     involution_i,
@@ -36,18 +39,9 @@ from .weyl import (
 )
 
 
-class DomainRefusal(ValueError):
-    """The requested quantity is undefined without its hypothesis."""
-
-
 def weyl_generators(rd: RootDatum, marked: Iterable[int]) -> frozenset[int]:
     """Generator nodes of the reflection subgroup of a marked parabolic."""
     return frozenset(range(rd.rank)) - rd.check_nodes(marked)
-
-
-def quotient_dimension(rd: RootDatum, p_nodes: Iterable[int]) -> int:
-    """Dimension of G/P: positive roots whose support meets the marks."""
-    return len(nilradical_roots(rd, p_nodes))
 
 
 def orbit_dimension(
@@ -212,18 +206,6 @@ class NilradicalFiltration:
     @property
     def is_abelian(self) -> bool:
         return len(self.layers) <= 1
-
-
-def nilradical_roots(rd: RootDatum, pprime_nodes: Iterable[int]) -> RootSubset:
-    marked = rd.check_nodes(pprime_nodes)
-    return subset_of(
-        rd,
-        (
-            i
-            for i in range(rd.positive_count)
-            if not rd.roots[i].support.isdisjoint(marked)
-        ),
-    )
 
 
 def nilradical_filtration(

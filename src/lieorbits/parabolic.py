@@ -94,6 +94,20 @@ def standard_parabolic_set(rd: RootDatum, marked: Iterable[int]) -> RootSubset:
     return RootSubset(rd, frozenset(range(rd.positive_count)) | extra)
 
 
+def nilradical_roots(rd: RootDatum, marked: Iterable[int]) -> RootSubset:
+    """Positive roots outside the standard parabolic of ``marked``: those
+    whose support meets the marks."""
+    marked = rd.check_nodes(marked)
+    return subset_of(
+        rd, (i for i in range(rd.positive_count) if not rd.roots[i].support.isdisjoint(marked))
+    )
+
+
+def quotient_dimension(rd: RootDatum, p_nodes: Iterable[int]) -> int:
+    """Dimension of G/P: positive roots whose support meets the marks."""
+    return len(nilradical_roots(rd, p_nodes))
+
+
 def apply_element(w: WeylElement, s: RootSubset) -> RootSubset:
     """The image ``w(s)`` of a root subset."""
     return RootSubset(s.rd, frozenset(map(w.perm.__getitem__, s.indices)))

@@ -5,6 +5,11 @@ The Cartan matrix is oriented as ``cartan[i][j] = <alpha_j, alphacheck_i>``,
 so the pairing of a root ``gamma`` against the coroot of node ``j`` is
 ``sum(cartan[j][i] * gamma[i])``.  Node indices are 0-based throughout the
 library; only the CLI speaks 1-based.
+
+The library's two exceptions live here, the module every other one
+imports, so the CLI can catch them without loading more: ``ConsistencyError``
+(an internal invariant failed) and ``DomainRefusal`` (a quantity that is
+undefined without its hypothesis, such as a curve on a point).
 """
 
 from __future__ import annotations
@@ -33,6 +38,10 @@ class ConsistencyError(RuntimeError):
         detail = "; ".join(f"{k}={v}" for k, v in sorted(trace.items()))
         super().__init__(f"{message} [{detail}]" if detail else message)
         self.trace = trace
+
+
+class DomainRefusal(ValueError):
+    """The requested quantity is undefined without its hypothesis."""
 
 
 @dataclass(frozen=True)

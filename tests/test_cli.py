@@ -4,7 +4,8 @@ and ``hilbert``, in every format, with their refusals and parse errors.
 
 A second golden file repeats the non-tower commands on C3, F4 and E6,
 whose DOT arrows, double edges and component relabelling the small types
-never reach.
+never reach.  A third pins ``lie --help``, every subcommand's help, and which
+error wins when a parse error meets an unsupported ``--format dot``.
 
 Regenerate the golden files from a trusted tree with
 ``PYTHONPATH=src python tests/test_cli.py``; the tests only read them.
@@ -15,10 +16,11 @@ from __future__ import annotations
 import pytest
 from transcripts import GOLDEN_DIR, check_golden, transcript, write_golden
 
-from lieorbits import orbits
+from lieorbits import cli, orbits
 
 GOLDEN = GOLDEN_DIR / "cli_commands.json"
 GOLDEN_TYPES = GOLDEN_DIR / "cli_types.json"
+GOLDEN_FRONT = GOLDEN_DIR / "cli_front_end.json"
 
 # (type, rank): node sets in CLI syntax; "" marks no node, so P = G
 MARKS = {
@@ -107,6 +109,26 @@ def cli_argvs():
     yield ["hilbert", *a3, "--p", "1", "--degrees", "one"]
 
 
+def front_end_argvs():
+    yield ["--help"]
+    for command in cli.COMMANDS:
+        yield [command, "--help"]
+    # each of these is refused for its own error before the DOT refusal
+    a3 = ["--type", "A", "--rank", "3", "--format", "dot"]
+    yield ["levi", "--type", "A", "--rank", "0", "--p", "1", "--pprime", "1", "--format", "dot"]
+    yield ["nilradical", *a3]
+    yield ["orbits", *a3, "--p", "4", "--pprime", "1"]
+    yield ["codim", *a3, "--p", "1", "--pprime", "x"]
+    yield ["curves", *a3, "--p", "1", "--degrees", "x"]
+    yield ["refine", *a3, "--word", "5"]
+    yield ["levi", *a3, "--p", "1", "--pprime", "2", "--word", "5"]
+    yield ["hilbert", *a3, "--p", "1", "--degrees", "1,x"]
+
+
+def test_help_and_dot_refusal_order_match_golden_bytes():
+    check_golden(GOLDEN_FRONT, front_end_argvs())
+
+
 def test_command_transcripts_match_golden_bytes():
     check_golden(GOLDEN, cli_argvs())
 
@@ -181,3 +203,4 @@ def test_weyl_cap_must_be_a_positive_integer(monkeypatch, cap):
 if __name__ == "__main__":
     write_golden(GOLDEN, cli_argvs())
     write_golden(GOLDEN_TYPES, type_argvs())
+    write_golden(GOLDEN_FRONT, front_end_argvs())

@@ -1,7 +1,8 @@
 """The package's public surface: every name ``lieorbits`` exports is used
 by the library itself or by the benchmark, the routines that only tests
 call live in ``tests/oracles.py``, and what the benchmark reads of the
-library is there."""
+library is there.  The package loads names on first use, and each ``lie``
+command imports only the modules it runs."""
 
 from __future__ import annotations
 
@@ -9,6 +10,7 @@ import ast
 import importlib
 import importlib.util
 import json
+import os
 import re
 import subprocess
 import sys
@@ -17,20 +19,142 @@ from pathlib import Path
 import pytest
 
 import lieorbits
+from lieorbits import cli
 
 PACKAGE = Path(lieorbits.__file__).parent
 BENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
+# the names the package exports, by the module that defines each
+EXPORTS = {
+    "rootsys": "ConsistencyError DomainRefusal Root RootDatum build_root_system cartan_matrix"
+    " diagram_components_after_removal involution_i",
+    "weyl": "CosetOrbit WeylElement bruhat_leq double_coset_orbits from_word identity"
+    " longest_element simple_reflection weyl_group",
+    "parabolic": "ParabolicSequence RootSubset max_parabolic_pair next_borels parabolic_sequence"
+    " quotient_dimension standard_borel standard_parabolic_set",
+    "orbits": "LeviQuotient NilradicalFiltration OrbitDescriptor complement_codim_ge2"
+    " complement_min_codim is_dense_orbit levi_quotient nilradical_filtration orbit_dimension"
+    " orbit_table",
+    "curves": "CurveClass ExistenceVerdict curve_class decide_smooth_rational_curve"
+    " hilbert_dimension positivity reduce_positive_class tangent_degree tangent_degree_from_roots",
+    "desing": "DesingTower MinimalModel RefinedChain borel_completion build_tower"
+    " demazure_refinement minimal_schubert smoothness_sufficient tower_dimension",
+}
+
 
 def exported_names() -> set[str]:
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    return {
-        alias.name
-        for node in tree.body
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-        if not alias.name.startswith("__")
+    """The keys of the package's lazy name table."""
+    return set(lieorbits._EXPORTS)
+
+
+def test_the_lazy_table_maps_each_exported_name_to_its_home():
+    # DomainRefusal lives beside ConsistencyError, and quotient_dimension beside
+    # the parabolics it counts; orbits still re-exports both
+    assert lieorbits._EXPORTS == {
+        name: module for module, names in EXPORTS.items() for name in names.split()
     }
+    assert lieorbits.orbits.DomainRefusal is lieorbits.rootsys.DomainRefusal
+    assert lieorbits.orbits.quotient_dimension is lieorbits.parabolic.quotient_dimension
+
+
+def fresh_interpreter(code: str, *args: str) -> dict:
+    """Run ``code`` in a new interpreter with the package's sources on the
+    path; it prints one JSON object, which is returned."""
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    done = subprocess.run(
+        [sys.executable, "-c", code, *args], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert done.returncode == 0, done.stderr[-2000:]
+    return json.loads(done.stdout)
+
+
+LAZY_PACKAGE = """
+import importlib, json, sys
+import lieorbits
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("lieorbits."))
+
+facts = {"on_import": loaded()}
+facts["rootsys"] = lieorbits.rootsys is sys.modules["lieorbits.rootsys"]
+facts["after_rootsys"] = loaded()
+facts["curve_class"] = lieorbits.curves.curve_class is sys.modules["lieorbits.curves"].curve_class
+facts["not_home"] = [
+    name for name in lieorbits.__all__
+    if getattr(lieorbits, name)
+    is not getattr(importlib.import_module("lieorbits." + lieorbits._EXPORTS[name]), name)
+]
+facts["not_in_dir"] = sorted(set(lieorbits.__all__) - set(dir(lieorbits)))
+try:
+    lieorbits.closure
+    facts["unknown"] = "resolved"
+except AttributeError as exc:
+    facts["unknown"] = str(exc)
+print(json.dumps(facts))
+"""
+
+
+def test_the_package_loads_each_name_from_its_home_on_first_use():
+    facts = fresh_interpreter(LAZY_PACKAGE)
+    assert facts["on_import"] == []
+    assert facts["rootsys"] and facts["after_rootsys"] == ["lieorbits.rootsys"]
+    assert facts["curve_class"]
+    assert facts["not_home"] == [] and facts["not_in_dir"] == []
+    assert facts["unknown"] == "module 'lieorbits' has no attribute 'closure'"
+
+
+AFTER_SELFTEST = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import lieorbits, oracles
+
+problems = oracles.selftest(lieorbits)
+print(json.dumps({"problems": problems, "loaded": sorted(sys.modules)}))
+"""
+
+
+def test_the_benchmark_self_test_loads_what_the_warm_passes_use():
+    # run.py calls selftest before it starts the clock, so no timed query of
+    # the towers or orbits pass pays an import
+    facts = fresh_interpreter(AFTER_SELFTEST, str(BENCH))
+    assert facts["problems"] == []
+    warm = {"rootsys", "weyl", "parabolic", "desing", "orbits"}
+    assert {f"lieorbits.{m}" for m in warm} <= set(facts["loaded"])
+
+
+RUN_COMMAND = """
+import contextlib, io, json, sys
+from lieorbits.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps({"exit": code, "loaded": sorted(m for m in sys.modules if m.startswith("lieorbits"))}))
+"""
+# the library modules each command runs, beyond the package and the CLI
+ORBIT_MODULES = ("orbits", "parabolic", "weyl", "rootsys")
+CURVE_MODULES = ("curves", "parabolic", "weyl", "rootsys")
+TOWER_MODULES = ("desing", "parabolic", "weyl", "rootsys")
+COMMAND_MODULES = {
+    "root-system": ("rootsys",),
+    **dict.fromkeys(("orbits", "codim", "levi", "nilradical"), ORBIT_MODULES),
+    **dict.fromkeys(("curves", "hilbert"), CURVE_MODULES),
+    **dict.fromkeys(("desing", "refine", "smooth", "minimal"), TOWER_MODULES),
+}
+
+
+def test_every_command_has_its_module_set():
+    assert set(COMMAND_MODULES) == set(cli.COMMANDS)
+
+
+@pytest.mark.parametrize("command", list(COMMAND_MODULES))
+def test_each_command_imports_only_the_modules_it_runs(command):
+    facts = fresh_interpreter(
+        RUN_COMMAND, command, "--type", "A", "--rank", "3", "--p", "1", "--pprime", "2",
+        "--word", "2 1 3", "--degrees", "1",
+    )
+    assert facts["exit"] == 0
+    want = {"lieorbits", "lieorbits.cli"} | {f"lieorbits.{m}" for m in COMMAND_MODULES[command]}
+    assert facts["loaded"] == sorted(want)
 
 
 def library_references() -> set[str]:

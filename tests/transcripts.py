@@ -1,5 +1,6 @@
 """Golden CLI transcripts: run ``lie`` in process and record its exit code,
-standard output and standard error byte for byte.
+standard output and standard error byte for byte, with help text wrapped
+to 80 columns.
 
 A test module lists its argument vectors, checks them with
 :func:`check_golden`, and rewrites its golden file with
@@ -11,8 +12,10 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import os
 from pathlib import Path
 from typing import Iterable
+from unittest import mock
 
 from lieorbits import cli
 
@@ -21,8 +24,13 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def transcript(argv: list[str]) -> dict:
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = cli.main(argv)
+    # help text wraps to COLUMNS; --help exits from inside argparse
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            mock.patch.dict(os.environ, COLUMNS="80"):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
