@@ -25,8 +25,7 @@ from . import rootsys
 
 
 class ParseExit(Exception):
-    def __init__(self, message: str):
-        super().__init__(message)
+    """A command line the parser refuses; ``main`` prints it and exits 1."""
 
 
 class Parser(argparse.ArgumentParser):

@@ -54,7 +54,7 @@ def positivity(c: CurveClass) -> str:
     return "positive"
 
 
-def _require_keys(rd: RootDatum, p_nodes: frozenset[int], c: CurveClass) -> None:
+def _require_keys(p_nodes: frozenset[int], c: CurveClass) -> None:
     if tuple(sorted(p_nodes)) != c.nodes:
         raise ValueError(
             f"class keyed by nodes {[n + 1 for n in c.nodes]} but P is marked at "
@@ -86,7 +86,7 @@ def tangent_degree(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> int:
     """Degree of the tangent bundle against the class: expand c1 in the
     fundamental weights of the marked nodes, then pair degree-wise."""
     marked = rd.check_nodes(p_nodes)
-    _require_keys(rd, marked, c)
+    _require_keys(marked, c)
     coeffs = anticanonical_coefficients(rd, marked)
     return sum(coeffs[j] * c.degree(j) for j in c.nodes)
 
@@ -98,7 +98,7 @@ def tangent_degree_from_roots(
     lattice (zero on unmarked nodes) and sum its pairing with the negative
     of every root outside the parabolic."""
     marked = rd.check_nodes(p_nodes)
-    _require_keys(rd, marked, c)
+    _require_keys(marked, c)
     lift = {j: c.degree(j) for j in c.nodes}
     total = 0
     for i in nilradical_roots(rd, marked).indices:
@@ -144,7 +144,7 @@ def reduce_positive_class(
     of the class.  Components without marks contribute nothing.
     """
     marked = rd.check_nodes(p_nodes)
-    _require_keys(rd, marked, c)
+    _require_keys(marked, c)
     kind = positivity(c)
     if kind == "strict":
         raise DomainRefusal("class is strictly positive; nothing to reduce")
@@ -240,7 +240,7 @@ def decide_smooth_rational_curve(
     fibre factors is tested instead.
     """
     marked = rd.check_nodes(p_nodes)
-    _require_keys(rd, marked, c)
+    _require_keys(marked, c)
     kind = positivity(c)
     if kind == "outside":
         return ExistenceVerdict(False, False, None, None)

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 #: admissible ranks per type: (minimum, maximum or None for unbounded)
 RANK_RULES = {
@@ -164,10 +164,8 @@ class RootDatum:
 
     Built from the Cartan matrix by one reflection walk
     (``_reflection_walk``), which yields both the roots and the reflection
-    permutations.  Immutable after construction; instances compare by
-    identity and may be shared freely.  The only mutable state is the lazily
-    built sum table, which is safe under CPython's GIL for the single-writer
-    uses in this library.
+    permutations.  Immutable after construction: every table is filled in
+    ``__init__``.  Instances compare by identity and may be shared freely.
     """
 
     def __init__(self, lie_type: str, rank: int, cartan):
@@ -205,7 +203,6 @@ class RootDatum:
         for i in range(rank):
             perms[i] = tuple(perms[i])
         self._reflections = tuple(perms)
-        self._sums: Optional[tuple[dict[int, int], ...]] = None
 
     def __repr__(self) -> str:
         return f"RootDatum({self.lie_type}{self.rank}, {len(self.roots)} roots)"
@@ -234,44 +231,6 @@ class RootDatum:
     def negative_index(self, idx: int) -> int:
         n = self.positive_count
         return idx + n if idx < n else idx - n
-
-    def sum_table(self) -> tuple[dict[int, int], ...]:
-        """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
-        ``roots[k]``; built on first use.
-
-        Only the simple-root rows are computed from coordinates: adding
-        ``alpha_i`` raises coordinate ``i`` by one.  Every other row is
-        carried from a known one along the permutations that the reflection
-        walk fills (``reflection_perms``), since ``s(a) + s(b) = s(a + b)``,
-        and every root is conjugate to a simple one.
-        """
-        if self._sums is None:
-            rows: list[Optional[dict[int, int]]] = [None] * len(self.roots)
-            frontier = []
-            for i in range(self.rank):
-                r = self._simple_index[i]
-                row = {}
-                for j, root in enumerate(self.roots):
-                    c = root.coords
-                    k = self.root_index.get(c[:i] + (c[i] + 1,) + c[i + 1 :])
-                    if k is not None:
-                        row[j] = k
-                rows[r] = row
-                frontier.append(r)
-            perms = self.reflection_perms()
-            while frontier:
-                fresh = []
-                for r in frontier:
-                    row = rows[r]
-                    for s in perms:
-                        if rows[s[r]] is None:
-                            rows[s[r]] = {s[j]: s[k] for j, k in row.items()}
-                            fresh.append(s[r])
-                frontier = fresh
-            if any(row is None for row in rows):
-                raise ConsistencyError("some root is not conjugate to a simple root")
-            self._sums = tuple(rows)
-        return self._sums
 
     def reflection_perms(self) -> tuple[tuple[int, ...], ...]:
         """Permutation of the root list induced by each simple reflection,

@@ -3,16 +3,19 @@
 Each one re-derives a quantity the library computes another way, or checks
 a property of its results: the root list, reflection permutations and sum
 rows by dense coordinate arithmetic, root lookups, root sums and pairings,
-the closure of a root set under addition, closedness and the Borel inside
-a closed set (the references for the library's Borel walk and covering
-test), the members of a double coset by breadth-first search, parabolics
-over an arbitrary Borel, Borel chains, the P^1-fibration candidates of a
-quotient and the numeric lifting rule through a ruled surface.
+the iterated centres of a nilradical (the reference for its grading by
+marked height), the closure of a root set under addition, closedness and
+the Borel inside a closed set (the references for the library's Borel walk
+and covering test), the members of a double coset by breadth-first search,
+parabolics over an arbitrary Borel, Borel chains, the P^1-fibration
+candidates of a quotient and the numeric lifting rule through a ruled
+surface.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
@@ -25,6 +28,7 @@ from lieorbits.parabolic import (
     is_borel,
     is_covering,
     nearest_borel,
+    nilradical_roots,
     standard_borel,
     standard_parabolic_set,
 )
@@ -74,9 +78,11 @@ def dense_reflection_perms(rd: RootDatum) -> tuple[tuple[int, ...], ...]:
     return tuple(perms)
 
 
+@lru_cache(maxsize=None)
 def dense_sum_table(rd: RootDatum) -> tuple[dict[int, int], ...]:
     """Row ``i`` maps ``j`` to ``k`` whenever ``roots[i] + roots[j]`` is
-    ``roots[k]``, by adding the coordinates of every pair."""
+    ``roots[k]``, by adding the coordinates of every pair; built once per
+    datum (a datum hashes by identity)."""
     rows = []
     for a in rd.roots:
         row = {}
@@ -97,12 +103,33 @@ def index_of(rd: RootDatum, root: Root) -> int:
 
 def sum_index(rd: RootDatum, i: int, j: int) -> Optional[int]:
     """Index of ``roots[i] + roots[j]`` when that sum is a root."""
-    return rd.sum_table()[i].get(j)
+    return dense_sum_table(rd)[i].get(j)
+
+
+def iterated_centres(rd: RootDatum, marked: Iterable[int]) -> list[frozenset[int]]:
+    """Ascending central filtration of the nilradical of a marked parabolic,
+    centre first, by peeling iterated centres: layer one collects the roots
+    that no other nilradical root extends, later layers repeat the rule in
+    the quotient by what has already been removed."""
+    sums = dense_sum_table(rd)
+    remaining = set(nilradical_roots(rd, marked).indices)
+    layers = []
+    while remaining:
+        layer = frozenset(
+            g
+            for g in remaining
+            if not any(d in remaining and k in remaining for d, k in sums[g].items())
+        )
+        if not layer:
+            raise ConsistencyError("central filtration stalled; nilradical not nilpotent?")
+        layers.append(layer)
+        remaining -= layer
+    return layers
 
 
 def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
     """Smallest superset closed under root addition."""
-    sums = rd.sum_table()
+    sums = dense_sum_table(rd)
     out = set(indices)
     frontier = list(out)
     while frontier:
@@ -118,7 +145,7 @@ def closure(rd: RootDatum, indices: Iterable[int]) -> frozenset[int]:
 
 def closed_violation(rd: RootDatum, s: RootSubset) -> Optional[tuple[int, int, int]]:
     """A witness (i, j, i+j) that the subset is not closed, if any."""
-    sums = rd.sum_table()
+    sums = dense_sum_table(rd)
     members = s.indices
     for i in members:
         for j, k in sums[i].items():
@@ -249,7 +276,7 @@ def sum_absorption_holds(rd: RootDatum, p: RootSubset) -> bool:
     the inside summand must be one-sided (its negative not in ``p``)."""
     if not is_parabolic(rd, p):
         raise ValueError("argument is not a parabolic root set")
-    sums = rd.sum_table()
+    sums = dense_sum_table(rd)
     members = p.indices
     for a in members:
         if rd.negative_index(a) in members:

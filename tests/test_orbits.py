@@ -5,10 +5,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import random
 from itertools import combinations
 
 import pytest
-from oracles import sum_index
+from oracles import iterated_centres, sum_index
 from transcripts import transcript
 
 from lieorbits.orbits import (
@@ -195,6 +196,37 @@ def test_nilradical_fixtures():
     nf = nilradical_filtration(c2, {0})
     assert [layer.coords() for layer in nf.layers] == [[(2, 1)], [(1, 0), (1, 1)]]
     assert not nf.is_abelian
+
+
+# every type of rank at most six, and E6
+GRADING_KEYS = (
+    [("A", n) for n in range(1, 7)]
+    + [(t, n) for t in "BC" for n in range(2, 7)]
+    + [("D", n) for n in range(4, 7)]
+    + [("E", 6), ("F", 4), ("G", 2)]
+)
+
+
+def assert_grading_is_the_oracle(rd, marks):
+    layers = [layer.indices for layer in nilradical_filtration(rd, marks).layers]
+    assert layers == iterated_centres(rd, marks), sorted(marks)
+
+
+@pytest.mark.parametrize("key", GRADING_KEYS, ids=lambda key: f"{key[0]}{key[1]}")
+def test_marked_height_grading_is_the_iterated_centre_series(key):
+    rd = build_root_system(*key)
+    for marks in [frozenset()] + nonempty_subsets(rd.rank):
+        assert_grading_is_the_oracle(rd, marks)
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 30), ("D", 16), ("E", 7), ("E", 8), ("F", 4)], ids=lambda key: f"{key[0]}{key[1]}"
+)
+def test_marked_height_grading_matches_the_oracle_on_random_marks(key):
+    rd = build_root_system(*key)
+    rng = random.Random(f"{key[0]}{key[1]}")
+    for _ in range(8):
+        assert_grading_is_the_oracle(rd, rng.sample(range(rd.rank), rng.randint(1, rd.rank)))
 
 
 def test_nilradical_layers_partition_and_lower():
