@@ -5,7 +5,11 @@ desingularization towers.
 Names load on first use: ``lieorbits.X`` (or ``from lieorbits import X``)
 imports the module that defines ``X`` and what it needs, and no other, so a
 ``lie`` command pays only for the modules it runs.  ``lieorbits.rootsys``
-and the other library modules load the same way."""
+and the other library modules load the same way.  Records are
+``typing.NamedTuple``s and the value types (``Root``, ``WeylElement``,
+``RootSubset``) hand-written, so that a cold ``lie`` loads neither the
+standard data-class module nor the ``inspect`` it pulls in: 11-13 ms of
+import on a 2-core Xeon, measure before bringing the decorator back."""
 
 from importlib import import_module
 

@@ -18,8 +18,7 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, TextIO
+from typing import Callable, NamedTuple, Optional, Sequence, TextIO
 
 from . import rootsys
 
@@ -35,8 +34,7 @@ class Parser(argparse.ArgumentParser):
         raise ParseExit(f"{self.prog}: error: {message}")
 
 
-@dataclass(frozen=True)
-class Query:
+class Query(NamedTuple):
     """One validated CLI request."""
 
     command: str
@@ -99,26 +97,22 @@ def _parse_degrees(raw: str) -> tuple[int, ...]:
 
 
 def build_parser() -> Parser:
+    shared = Parser(add_help=False)
+    shared.add_argument("--type", required=True, choices=list("ABCDEFG"), dest="lie_type")
+    shared.add_argument("--rank", required=True, type=int)
+    shared.add_argument("--p", default=None, help="marked nodes of P, e.g. '1,3'")
+    shared.add_argument("--pprime", default=None, help="marked nodes of P'")
+    shared.add_argument(
+        "--word",
+        default=None,
+        help="reflection word '2 1 3 2' or, for type A, a one-line permutation like '3412'",
+    )
+    shared.add_argument("--degrees", default=None, help="degree vector, e.g. '1,0,2'")
+    shared.add_argument("--format", default="text", choices=("text", "json", "dot"), dest="fmt")
     parser = Parser(prog="lie", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, command in COMMANDS.items():
-        p = sub.add_parser(name, help=command.help)
-        p.add_argument("--type", required=True, choices=list("ABCDEFG"), dest="lie_type")
-        p.add_argument("--rank", required=True, type=int)
-        p.add_argument("--p", default=None, help="marked nodes of P, e.g. '1,3'")
-        p.add_argument("--pprime", default=None, help="marked nodes of P'")
-        p.add_argument(
-            "--word",
-            default=None,
-            help="reflection word '2 1 3 2' or, for type A, a one-line permutation like '3412'",
-        )
-        p.add_argument("--degrees", default=None, help="degree vector, e.g. '1,0,2'")
-        p.add_argument(
-            "--format",
-            default="text",
-            choices=("text", "json", "dot"),
-            dest="fmt",
-        )
+        sub.add_parser(name, help=command.help, parents=[shared])
     return parser
 
 
@@ -145,9 +139,7 @@ def parse_query(argv: Sequence[str]) -> Query:
     degrees = _parse_degrees(ns.degrees) if ns.degrees is not None else None
     if ns.fmt == "dot" and not COMMANDS[ns.command].dot:
         raise ParseExit(f"error: --format dot is not supported for {ns.command}")
-    return Query(
-        ns.command, ns.lie_type, ns.rank, p_nodes, pp_nodes, word, degrees, ns.fmt
-    )
+    return Query(ns.command, ns.lie_type, ns.rank, p_nodes, pp_nodes, word, degrees, ns.fmt)
 
 
 def _labels(indices) -> list[int]:
@@ -442,8 +434,7 @@ def _minimal(rd, q: Query, p_nodes, out: TextIO) -> None:
     )
 
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """One subcommand: its help line, the flags it needs, whether it
     renders DOT, and its handler.  The handler writes the command's output
     in the query's format; it gets the P marks with --p defaulting to every

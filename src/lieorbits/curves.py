@@ -8,25 +8,31 @@ n-space meets the tangent bundle in n+1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .parabolic import nilradical_roots, quotient_dimension
 from .rootsys import ConsistencyError, DomainRefusal, RootDatum, diagram_components_after_removal
 
 
-@dataclass(frozen=True)
-class CurveClass:
-    """Degrees of a 1-cycle class against the Picard generators of G/P."""
-
+class _CurveFields(NamedTuple):
     nodes: tuple[int, ...]  # marked nodes of P, ascending
     degrees: tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.nodes) != len(self.degrees):
+
+class CurveClass(_CurveFields):
+    """Degrees of a 1-cycle class against the Picard generators of G/P,
+    checked on every construction (``_replace`` too)."""
+
+    __slots__ = ()
+
+    def __new__(cls, nodes: tuple[int, ...], degrees: tuple[int, ...]):
+        if len(nodes) != len(degrees):
             raise ValueError("one degree per marked node required")
-        if tuple(sorted(self.nodes)) != self.nodes:
+        if tuple(sorted(nodes)) != nodes:
             raise ValueError("nodes must be sorted ascending")
+        return super().__new__(cls, nodes, degrees)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))
 
     def degree(self, node: int) -> int:
         try:
@@ -122,8 +128,7 @@ def hilbert_dimension(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> i
     return tangent_degree(rd, marked, c) + total - 3
 
 
-@dataclass(frozen=True)
-class ReducedFactor:
+class ReducedFactor(NamedTuple):
     """One factor of the fibre picked out by the zero-degree marks."""
 
     lie_type: str
@@ -181,8 +186,7 @@ def _factor_dimension(rd: RootDatum, f: ReducedFactor) -> int:
     return sum(1 for r in positive if r.support <= nodes and not r.support.isdisjoint(marked))
 
 
-@dataclass(frozen=True)
-class ExistenceVerdict:
+class ExistenceVerdict(NamedTuple):
     """Outcome of the smooth-rational-curve decision for one class."""
 
     mor_nonempty: bool

@@ -6,8 +6,7 @@ parabolics, and evaluate the homogeneity/smoothness criterion.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .parabolic import (
     ConsistencyError,
@@ -49,8 +48,7 @@ def borel_completion(
     return b, w * borel_to_weyl(rd, b).inverse()
 
 
-@dataclass(frozen=True)
-class DesingTower:
+class DesingTower(NamedTuple):
     """Alternating factor list with junctions, quotient marks and context.
 
     Factors run in source order (primed factors ascending, then unprimed
@@ -127,8 +125,7 @@ def tower_dimension(t: DesingTower) -> int:
     return sum(t.fibres)
 
 
-@dataclass(frozen=True)
-class RefinedChain:
+class RefinedChain(NamedTuple):
     """A chain of minimal parabolics refining the tower, with the reduced
     word it induces; ``groups[i]`` is the half-open range of steps, and so
     of letters, that tower factor ``i`` hosts."""
@@ -190,8 +187,7 @@ def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement)
     return is_covering(rd, p1 & pp1)
 
 
-@dataclass(frozen=True)
-class MinimalModel:
+class MinimalModel(NamedTuple):
     """Report of the largest parabolic along which the Schubert variety
     fibres, and whether the given quotient is already that model."""
 
@@ -213,11 +209,5 @@ def minimal_schubert(
     p1, _ = max_parabolic_pair(rd, b, bp)
     sigma1 = sigma_of(rd, p1, b)
     given = standard_parabolic_set(rd, p_nodes)
-    levi_pairs = (len(p1) - rd.positive_count)
-    dim = len(bp - b) - levi_pairs
-    return MinimalModel(
-        given == p1,
-        sigma1,
-        dim,
-        w2.reduced_word(),
-    )
+    levi_pairs = len(p1) - rd.positive_count
+    return MinimalModel(given == p1, sigma1, len(bp - b) - levi_pairs, w2.reduced_word())

@@ -10,8 +10,7 @@ is generated by the complementary nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .parabolic import (
     ConsistencyError,
@@ -94,8 +93,7 @@ def is_dense_orbit(
     return dense
 
 
-@dataclass(frozen=True)
-class OrbitDescriptor:
+class OrbitDescriptor(NamedTuple):
     """One orbit: minimal-length representative, dimension, size, density."""
 
     w: WeylElement
@@ -117,9 +115,7 @@ def orbit_table(
     out = []
     for orbit in cosets:
         dim = orbit_dimension(rd, orbit.representative, p_nodes, pprime_nodes)
-        out.append(
-            OrbitDescriptor(orbit.representative, dim, orbit.size, dim == total)
-        )
+        out.append(OrbitDescriptor(orbit.representative, dim, orbit.size, dim == total))
     if sum(1 for o in out if o.dense) != 1:
         raise ConsistencyError("expected exactly one dense orbit")
     sizes, order = sum(o.size for o in out), weyl_order(rd.lie_type, rd.rank)
@@ -152,8 +148,7 @@ def complement_min_codim(
     return min((total - d for d in dims), default=None)
 
 
-@dataclass(frozen=True)
-class LeviFactor:
+class LeviFactor(NamedTuple):
     """A simple factor of the reductive quotient, with its marked nodes."""
 
     component: DiagramComponent
@@ -165,8 +160,7 @@ class LeviFactor:
         return frozenset(relabel[i] for i in self.marked)
 
 
-@dataclass(frozen=True)
-class LeviQuotient:
+class LeviQuotient(NamedTuple):
     factors: tuple[LeviFactor, ...]
     torus_rank: int
 
@@ -197,8 +191,7 @@ def levi_quotient(
     return LeviQuotient(factors, len(pprime_nodes))
 
 
-@dataclass(frozen=True)
-class NilradicalFiltration:
+class NilradicalFiltration(NamedTuple):
     """Ascending central filtration of a nilradical, centre first."""
 
     layers: tuple[RootSubset, ...]

@@ -19,25 +19,32 @@ parabolic (Bourbaki, Lie Groups and Lie Algebras, ch. VI §1.7, Prop. 20).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .rootsys import ConsistencyError, RootDatum
 from .weyl import WeylElement, identity
 
 
-@dataclass(frozen=True)
 class RootSubset:
-    """A set of root indices over a fixed root datum."""
+    """A set of root indices over a fixed root datum; equality and hashing go
+    through the identity of ``rd`` and ``indices``."""
 
-    rd: RootDatum
-    indices: frozenset[int]
+    __slots__ = ("rd", "indices")
 
-    def __post_init__(self):
-        n = len(self.rd.roots)
-        if self.indices and (min(self.indices) < 0 or max(self.indices) >= n):
-            bad = sorted(i for i in self.indices if not 0 <= i < n)
+    def __init__(self, rd: RootDatum, indices: frozenset[int]):
+        n = len(rd.roots)
+        if indices and (min(indices) < 0 or max(indices) >= n):
+            bad = sorted(i for i in indices if not 0 <= i < n)
             raise ValueError(f"root indices out of range: {bad}")
+        self.rd, self.indices = rd, indices
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not RootSubset:
+            return NotImplemented
+        return self.rd is other.rd and self.indices == other.indices
+
+    def __hash__(self) -> int:
+        return hash((self.rd, self.indices))
 
     def __contains__(self, idx: int) -> bool:
         return idx in self.indices
@@ -235,8 +242,7 @@ def next_borels(
     return step(pn, ppn, bn), step(ppn, pn, bpn)
 
 
-@dataclass(frozen=True)
-class ParabolicSequence:
+class ParabolicSequence(NamedTuple):
     """The full alternating run from a pair of Borels to a terminal pair of
     parabolics whose intersection contains a Borel, plus the Borel inside that
     intersection nearest to the last Borel."""

@@ -14,10 +14,9 @@ undefined without its hypothesis, such as a curve on a point).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import permutations
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 #: admissible ranks per type: (minimum, maximum or None for unbounded)
 RANK_RULES = {
@@ -44,11 +43,21 @@ class DomainRefusal(ValueError):
     """The requested quantity is undefined without its hypothesis."""
 
 
-@dataclass(frozen=True)
 class Root:
-    """A root, as integer coefficients over the simple roots."""
+    """A root, as integer coefficients over the simple roots; equality and
+    hashing go through ``coords``."""
 
-    coords: tuple[int, ...]
+    def __init__(self, coords: tuple[int, ...]):
+        self.coords = coords
+
+    def __eq__(self, other) -> bool:
+        return self.coords == other.coords if other.__class__ is Root else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.coords)
+
+    def __repr__(self) -> str:
+        return f"Root(coords={self.coords!r})"
 
     def __neg__(self) -> "Root":
         return Root(tuple(-c for c in self.coords))
@@ -239,12 +248,10 @@ class RootDatum:
         return self._reflections
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        out = {}
-        for i in range(self.rank):
-            out[i] = tuple(
-                j for j in range(self.rank) if j != i and self.cartan[i][j] != 0
-            )
-        return out
+        return {
+            i: tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
+            for i in range(self.rank)
+        }
 
 
 @lru_cache(maxsize=None)
@@ -260,8 +267,7 @@ def build_root_system(lie_type: str, rank: int) -> RootDatum:
     return RootDatum(lie_type, rank, cartan_matrix(lie_type, rank))
 
 
-@dataclass(frozen=True)
-class DiagramComponent:
+class DiagramComponent(NamedTuple):
     """A connected piece of the Dynkin diagram after deleting nodes."""
 
     lie_type: str

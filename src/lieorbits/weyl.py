@@ -10,11 +10,10 @@ it, but the tests use it as an oracle and the benchmark's trace wraps it.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import cache, partial
 from math import factorial, prod
 from operator import itemgetter
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .rootsys import ConsistencyError, RootDatum, diagram_components_after_removal
 
@@ -35,20 +34,26 @@ def _max_weyl() -> int:
     return cap
 
 
-@dataclass(frozen=True)
 class WeylElement:
-    """A Weyl group element; equality and hashing go through ``perm``."""
+    """A Weyl group element; equality and hashing go through the identity of
+    ``rd`` and ``perm``.  ``length`` is counted when not given and is not
+    compared."""
 
-    rd: RootDatum
-    perm: tuple[int, ...]
-    length: int = field(default=-1, compare=False)
+    __slots__ = ("rd", "perm", "length")
 
-    def __post_init__(self):
-        if self.length < 0:
-            n = self.rd.positive_count
-            object.__setattr__(
-                self, "length", sum(1 for p in range(n) if self.perm[p] >= n)
-            )
+    def __init__(self, rd: RootDatum, perm: tuple[int, ...], length: int = -1):
+        if length < 0:
+            n = rd.positive_count
+            length = sum(1 for p in range(n) if perm[p] >= n)
+        self.rd, self.perm, self.length = rd, perm, length
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not WeylElement:
+            return NotImplemented
+        return self.rd is other.rd and self.perm == other.perm
+
+    def __hash__(self) -> int:
+        return hash((self.rd, self.perm))
 
     def __repr__(self) -> str:
         word = " ".join(map(str, self.reduced_word())) or "e"
@@ -232,8 +237,7 @@ def double_coset_minimum(
     return v.inverse()
 
 
-@dataclass(frozen=True)
-class CosetOrbit:
+class CosetOrbit(NamedTuple):
     """One double coset W_I·w·W_J: its minimal-length representative and
     its size."""
 

@@ -11,6 +11,7 @@ from oracles import lift_feasible, p1_fibration_candidates
 
 from lieorbits import curves
 from lieorbits.curves import (
+    CurveClass,
     anticanonical_coefficients,
     curve_class,
     decide_smooth_rational_curve,
@@ -383,3 +384,14 @@ def test_d3_factor_dimension_is_read_in_the_parent_labelling():
     assert (factor.lie_type, factor.rank, factor.nodes, factor.marked) == ("D", 3, (3, 4, 5), (3,))
     assert curves._factor_dimension(rd, factor) == 4
     assert quotient_dimension(build_root_system("A", 3), {1}) == 4
+
+
+def test_curve_classes_check_their_keys_on_every_construction():
+    with pytest.raises(ValueError, match="sorted ascending"):
+        CurveClass((2, 0), (1, 1))
+    with pytest.raises(ValueError, match="one degree per marked node"):
+        CurveClass((0, 2), (1,))
+    c = CurveClass((0, 2), (1, 3))
+    assert c._replace(degrees=(2, 2)) == CurveClass((0, 2), (2, 2))
+    with pytest.raises(ValueError, match="sorted ascending"):
+        c._replace(nodes=(2, 0))

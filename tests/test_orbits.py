@@ -3,7 +3,6 @@ and nilradical filtrations."""
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 from itertools import combinations
@@ -279,7 +278,7 @@ def test_orbit_table_checks_sizes_sum_to_group_order(monkeypatch):
 
     def one_short(rd, left, right):
         first, *rest = real(rd, left, right)
-        return [dataclasses.replace(first, size=first.size - 1), *rest]
+        return [first._replace(size=first.size - 1), *rest]
 
     monkeypatch.setattr(lieorbits.orbits, "double_coset_orbits", one_short)
     with pytest.raises(ConsistencyError, match="sum to"):

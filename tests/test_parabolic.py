@@ -21,6 +21,7 @@ from oracles import (
 
 from lieorbits.parabolic import (
     ConsistencyError,
+    RootSubset,
     apply_element,
     borel_to_weyl,
     is_borel,
@@ -34,7 +35,7 @@ from lieorbits.parabolic import (
     standard_parabolic_set,
     subset_of,
 )
-from lieorbits.rootsys import Root, build_root_system
+from lieorbits.rootsys import Root, RootDatum, build_root_system, cartan_matrix
 from lieorbits.weyl import from_word, identity, simple_reflection, weyl_group
 
 
@@ -492,3 +493,15 @@ def test_is_covering_decides_whether_a_parabolic_intersection_holds_a_borel(key)
                     assert is_covering(rd, meet) == holds
                     verdicts.add(holds)
     assert verdicts == {True, False}
+
+
+def test_root_subsets_refuse_out_of_range_indices_and_compare_by_datum_and_indices():
+    rd = build_root_system("A", 2)
+    for bad, named in (({-1, 0}, [-1]), ({0, 6}, [6])):
+        with pytest.raises(ValueError) as exc:
+            RootSubset(rd, frozenset(bad))
+        assert str(exc.value) == f"root indices out of range: {named}"
+    a, b = subset_of(rd, {0, 1}), subset_of(rd, [1, 0])
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert RootSubset(RootDatum("A", 2, cartan_matrix("A", 2)), a.indices) != a
+    assert a != a.indices

@@ -371,3 +371,13 @@ def test_entry_points_reject_out_of_range_nodes_with_one_message(name, bad):
     with pytest.raises(ValueError) as exc:
         _node_entry_points()[name](rd, bad)
     assert str(exc.value) == f"node index {bad} out of range 0..2"
+
+
+def test_roots_negate_hash_and_report_support_by_coordinates():
+    r = Root((1, 0, 2))
+    assert -r == Root((-1, 0, -2)) and -(-r) == r
+    assert r.support == frozenset({0, 2}) == (-r).support
+    assert r.support is r.support  # computed once, on first use
+    assert Root((1, 0, 2)) == r and hash(Root((1, 0, 2))) == hash(r)
+    assert len({r, Root((1, 0, 2)), -r}) == 2
+    assert r != (1, 0, 2)

@@ -128,7 +128,11 @@ from lieorbits.cli import main
 
 with contextlib.redirect_stdout(io.StringIO()):
     code = main(sys.argv[1:])
-print(json.dumps({"exit": code, "loaded": sorted(m for m in sys.modules if m.startswith("lieorbits"))}))
+print(json.dumps({
+    "exit": code,
+    "loaded": sorted(m for m in sys.modules if m.startswith("lieorbits")),
+    "heavy": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules),
+}))
 """
 # the library modules each command runs, beyond the package and the CLI
 ORBIT_MODULES = ("orbits", "parabolic", "weyl", "rootsys")
@@ -140,6 +144,18 @@ COMMAND_MODULES = {
     **dict.fromkeys(("curves", "hilbert"), CURVE_MODULES),
     **dict.fromkeys(("desing", "refine", "smooth", "minimal"), TOWER_MODULES),
 }
+
+
+HEAVY_LOADED = """
+import json, sys
+print(json.dumps({"heavy": sorted(m for m in ("dataclasses", "inspect") if m in sys.modules)}))
+"""
+
+
+def test_a_bare_interpreter_loads_neither_dataclasses_nor_inspect():
+    # the premise of the check below that no command loads them: a site hook
+    # that imports either would make that check fail whatever the library does
+    assert fresh_interpreter(HEAVY_LOADED)["heavy"] == []
 
 
 def test_every_command_has_its_module_set():
@@ -155,6 +171,9 @@ def test_each_command_imports_only_the_modules_it_runs(command):
     assert facts["exit"] == 0
     want = {"lieorbits", "lieorbits.cli"} | {f"lieorbits.{m}" for m in COMMAND_MODULES[command]}
     assert facts["loaded"] == sorted(want)
+    # records are NamedTuples and value types hand-written, so that a cold
+    # command pays for neither dataclasses nor the inspect it imports
+    assert facts["heavy"] == []
 
 
 def library_references() -> set[str]:
@@ -203,8 +222,7 @@ def test_test_only_routines_are_not_library_attributes():
             assert not hasattr(lieorbits, name), name
     assert not hasattr(lieorbits.Root, "is_positive")
     assert not hasattr(lieorbits.RootSubset, "from_json")
-    fields = {f.name for f in lieorbits.CosetOrbit.__dataclass_fields__.values()}
-    assert fields == {"representative", "size"}
+    assert set(lieorbits.CosetOrbit._fields) == {"representative", "size"}
     assert not hasattr(lieorbits.CosetOrbit, "members")
 
 
@@ -257,7 +275,7 @@ def test_only_the_cli_renders_output():
 
 def test_tower_results_keep_only_the_layout_build_tower_decides():
     def fields(cls):
-        return {f.name for f in cls.__dataclass_fields__.values()}
+        return set(cls._fields)
 
     assert fields(lieorbits.RefinedChain) == {"minimal_factors", "word", "groups"}
     assert not {"rd", "origins"} & fields(lieorbits.DesingTower)

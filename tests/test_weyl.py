@@ -18,6 +18,7 @@ from lieorbits.rootsys import (
 )
 from lieorbits.orbits import orbit_table
 from lieorbits.weyl import (
+    WeylElement,
     bruhat_leq,
     double_coset_minimum,
     double_coset_orbits,
@@ -390,3 +391,16 @@ def test_times_is_the_product_with_a_simple_reflection_and_its_length(key):
             want = w * simple_reflection(rd, i)  # length counted from the permutation
             got = w.times(i)
             assert (got.perm, got.length) == (want.perm, want.length)
+
+
+def test_equal_elements_hash_equal_whatever_length_they_were_given():
+    rd = build_root_system("B", 3)
+    w = from_word(rd, [0, 1, 2, 1])
+    assert WeylElement(rd, w.perm).length == w.length
+    for length in (-1, 0, w.length, 99):
+        v = WeylElement(rd, w.perm, length)
+        assert v == w and hash(v) == hash(w)
+    assert len({w, WeylElement(rd, w.perm, 0)}) == 1
+    # the same permutation over another datum of the same type is another element
+    assert WeylElement(RootDatum("B", 3, cartan_matrix("B", 3)), w.perm) != w
+    assert w != (rd, w.perm)
