@@ -139,7 +139,9 @@ def parse_query(argv: Sequence[str]) -> Query:
     degrees = _parse_degrees(ns.degrees) if ns.degrees is not None else None
     if ns.fmt == "dot" and not COMMANDS[ns.command].dot:
         raise ParseExit(f"error: --format dot is not supported for {ns.command}")
-    return Query(ns.command, ns.lie_type, ns.rank, p_nodes, pp_nodes, word, degrees, ns.fmt)
+    return Query(
+        ns.command, ns.lie_type, ns.rank, p_nodes, pp_nodes, word, degrees, ns.fmt
+    )
 
 
 def _labels(indices) -> list[int]:

@@ -209,5 +209,11 @@ def minimal_schubert(
     p1, _ = max_parabolic_pair(rd, b, bp)
     sigma1 = sigma_of(rd, p1, b)
     given = standard_parabolic_set(rd, p_nodes)
-    levi_pairs = len(p1) - rd.positive_count
-    return MinimalModel(given == p1, sigma1, len(bp - b) - levi_pairs, w2.reduced_word())
+    levi_pairs = (len(p1) - rd.positive_count)
+    dim = len(bp - b) - levi_pairs
+    return MinimalModel(
+        given == p1,
+        sigma1,
+        dim,
+        w2.reduced_word(),
+    )

@@ -115,7 +115,9 @@ def orbit_table(
     out = []
     for orbit in cosets:
         dim = orbit_dimension(rd, orbit.representative, p_nodes, pprime_nodes)
-        out.append(OrbitDescriptor(orbit.representative, dim, orbit.size, dim == total))
+        out.append(
+            OrbitDescriptor(orbit.representative, dim, orbit.size, dim == total)
+        )
     if sum(1 for o in out if o.dense) != 1:
         raise ConsistencyError("expected exactly one dense orbit")
     sizes, order = sum(o.size for o in out), weyl_order(rd.lie_type, rd.rank)

@@ -248,10 +248,12 @@ class RootDatum:
         return self._reflections
 
     def adjacency(self) -> dict[int, tuple[int, ...]]:
-        return {
-            i: tuple(j for j in range(self.rank) if j != i and self.cartan[i][j] != 0)
-            for i in range(self.rank)
-        }
+        out = {}
+        for i in range(self.rank):
+            out[i] = tuple(
+                j for j in range(self.rank) if j != i and self.cartan[i][j] != 0
+            )
+        return out
 
 
 @lru_cache(maxsize=None)

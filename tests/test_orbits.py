@@ -285,6 +285,17 @@ def test_orbit_table_checks_sizes_sum_to_group_order(monkeypatch):
         orbit_table(build_root_system("A", 3), {0}, {2})
 
 
+def test_orbit_rows_compare_as_plain_tuples_and_stay_distinct():
+    # records are NamedTuples: equality and hashing ignore the record type, so
+    # two record types with equal fields would collide in one set or dict; no
+    # set or dict in the library holds more than one record type, and the rows
+    # of one table never collide with each other
+    table = orbit_table(build_root_system("B", 3), {0}, {1, 2})
+    first = table[0]
+    assert first == tuple(first) and hash(first) == hash(tuple(first))
+    assert len(set(table)) == len(table) == len({o.w for o in table})
+
+
 def test_orbit_table_json_shape():
     argv = ["orbits", "--type", "A", "--rank", "3", "--p", "1", "--pprime", "1", "--format", "json"]
     payload = json.loads(transcript(argv)["stdout"])

@@ -310,13 +310,10 @@ def test_every_traced_target_resolves_in_the_library():
 def test_one_untraced_benchmark_pass_is_correct(workload):
     # run.py checks every result outside any try, so a broken benchmark
     # contract ends the run; cli-cold is left out for its known hilbert
-    # oracle defect, and traced runs write to perfbench/out/; the run lasts a
-    # second because HostClock.factor has no sample to divide by when a pass
-    # ends before the first 0.25 s reference tick (ROADMAP item 1a), and a
-    # towers pass now takes about that long
+    # oracle defect, and traced runs write to perfbench/out/
     done = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--trace", "0"],
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=BENCH.parent, capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr[-2000:]
