@@ -15,8 +15,7 @@ undefined without its hypothesis, such as a curve on a point).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from itertools import permutations
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 #: admissible ranks per type: (minimum, maximum or None for unbounded)
 RANK_RULES = {
@@ -282,15 +281,30 @@ class DiagramComponent(NamedTuple):
         return dict(self.relabel)
 
 
-def _match_relabel(sub, std, perm) -> bool:
-    k = len(perm)
-    return all(
-        sub[a][b] == std[perm[a]][perm[b]] for a in range(k) for b in range(k)
-    )
+def _relabelling(sub, std) -> Optional[tuple[int, ...]]:
+    """The first relabelling ``perm`` in lexicographic order with
+    ``sub[a][b] == std[perm[a]][perm[b]]`` for every pair, or None.  Partial
+    relabellings are extended in that order, and a branch is cut as soon as
+    a pair it assigns mismatches."""
+    k = len(sub)
+    perm: list[int] = []
 
+    def extend() -> bool:
+        a = len(perm)
+        if a == k:
+            return True
+        for image in range(k):
+            if image not in perm and all(
+                sub[a][b] == std[image][perm[b]] and sub[b][a] == std[perm[b]][image]
+                for b in range(a)
+            ):
+                perm.append(image)
+                if extend():
+                    return True
+                perm.pop()
+        return False
 
-def _candidate_types(k: int) -> list[str]:
-    return [t for t, (lo, hi) in RANK_RULES.items() if lo <= k and (hi is None or k <= hi)]
+    return tuple(perm) if extend() else None
 
 
 def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent:
@@ -298,21 +312,24 @@ def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent
 
     The identity relabelling (ascending original labels) is preferred over
     permuted ones so that e.g. an untouched C2 reports as C2 rather than the
-    isomorphic B2.
+    isomorphic B2; after it, the first relabelling in lexicographic order
+    of the first type that has one.
     """
     nodes = tuple(sorted(nodes))
     k = len(nodes)
-    sub = [[rd.cartan[a][b] for b in nodes] for a in nodes]
-    candidates = _candidate_types(k)
-    identity = tuple(range(k))
-    for t in candidates:
-        if _match_relabel(sub, cartan_matrix(t, k), identity):
-            return DiagramComponent(t, k, nodes, tuple(zip(nodes, identity)))
-    for t in candidates:
-        std = cartan_matrix(t, k)
-        for perm in permutations(range(k)):
-            if _match_relabel(sub, std, perm):
-                return DiagramComponent(t, k, nodes, tuple(zip(nodes, perm)))
+    sub = tuple(tuple(rd.cartan[a][b] for b in nodes) for a in nodes)
+    candidates = [
+        (t, cartan_matrix(t, k))
+        for t, (lo, hi) in RANK_RULES.items()
+        if lo <= k and (hi is None or k <= hi)
+    ]
+    for t, std in candidates:
+        if sub == std:
+            return DiagramComponent(t, k, nodes, tuple(zip(nodes, range(k))))
+    for t, std in candidates:
+        perm = _relabelling(sub, std)
+        if perm is not None:
+            return DiagramComponent(t, k, nodes, tuple(zip(nodes, perm)))
     raise ConsistencyError(f"subdiagram on nodes {nodes} is not of simple type")
 
 

@@ -72,6 +72,11 @@ class WeylElement:
         perm = tuple(map(self.perm.__getitem__, rd.reflection_perms()[i]))
         return WeylElement(rd, perm, self.length + step)
 
+    def descents(self) -> frozenset[int]:
+        """The right descents: the nodes ``i`` with ``w(alpha_i)`` negative."""
+        rd, n = self.rd, self.rd.positive_count
+        return frozenset(i for i in range(rd.rank) if self.perm[rd.simple_root_index(i)] >= n)
+
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for r, img in enumerate(self.perm):
@@ -146,23 +151,21 @@ def longest_element(rd: RootDatum) -> WeylElement:
 
 
 def bruhat_leq(u: WeylElement, w: WeylElement) -> bool:
-    """Bruhat order, by walking down the left descents of ``w``: when
-    ``s w < w``, ``u <= w`` exactly when ``min(u, s u) <= s w``."""
+    """Bruhat order, by walking down the right descents of ``w``: when
+    ``w s < w``, ``u <= w`` exactly when ``min(u, u s) <= w s``.  ``s_i`` is a
+    right descent of ``v`` when ``v(alpha_i)`` is negative."""
     if u.rd is not w.rd:
         raise ValueError("elements of different root systems")
     rd = u.rd
-    refl = rd.reflection_perms()
     simples = [rd.simple_root_index(i) for i in range(rd.rank)]
     n = rd.positive_count
-    up, wp, ul, wl = u.perm, w.perm, u.length, w.length
-    while up != wp:
-        if ul >= wl:
+    while u != w:
+        if u.length >= w.length:
             return False
-        # s_i is a left descent of an element v when v^-1(alpha_i) is negative
-        i = next(i for i, a in enumerate(simples) if wp.index(a) >= n)
-        wp, wl = tuple(map(refl[i].__getitem__, wp)), wl - 1
-        if up.index(simples[i]) >= n:
-            up, ul = tuple(map(refl[i].__getitem__, up)), ul - 1
+        i = next(i for i, a in enumerate(simples) if w.perm[a] >= n)
+        w = w.times(i)
+        if u.perm[simples[i]] >= n:
+            u = u.times(i)
     return True
 
 

@@ -30,8 +30,8 @@ EXPORTS = {
     " diagram_components_after_removal involution_i",
     "weyl": "CosetOrbit WeylElement bruhat_leq double_coset_orbits from_word identity"
     " longest_element simple_reflection weyl_group",
-    "parabolic": "ParabolicSequence RootSubset max_parabolic_pair next_borels parabolic_sequence"
-    " quotient_dimension standard_borel standard_parabolic_set",
+    "parabolic": "ParabolicSequence RootSubset parabolic_sequence quotient_dimension"
+    " standard_borel standard_parabolic_set",
     "orbits": "LeviQuotient NilradicalFiltration OrbitDescriptor complement_codim_ge2"
     " complement_min_codim is_dense_orbit levi_quotient nilradical_filtration orbit_dimension"
     " orbit_table",
@@ -209,6 +209,8 @@ TEST_ONLY = {
     "parabolic": (
         "closure", "is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds",
         "simple_roots_of_borel", "contains_borel", "closed_violation", "is_closed",
+        "is_borel", "_one_per_pair", "nearest_borel", "next_borels", "max_parabolic_pair",
+        "_absent_negatives", "sigma_of", "chain_walk",
     ),
     "curves": ("p1_fibration_candidates", "FibrationCandidate", "lift_feasible"),
 }
@@ -304,6 +306,47 @@ def test_every_traced_target_resolves_in_the_library():
         for part in attribute.split("."):
             obj = getattr(obj, part)
         assert callable(obj), f"{module}.{attribute}"
+
+
+def benchmark_attribute_paths():
+    """Each ``lieorbits`` attribute chain the benchmark's code reads, as
+    ``(file, dotted path)``: chains rooted at ``lib`` (the imported
+    package), at a module bound by ``from lieorbits import ...`` and, in
+    ``cli_child.py``, at ``cli``, the CLI module it imports by name."""
+    out = set()
+    for path in sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        roots = {"lib": ""}
+        if path.name == "cli_child.py":
+            roots["cli"] = "cli"
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "lieorbits":
+                roots.update({a.asname or a.name: a.name for a in node.names})
+        for node in ast.walk(tree):
+            chain = []
+            while isinstance(node, ast.Attribute):
+                chain.append(node.attr)
+                node = node.value
+            if chain and isinstance(node, ast.Name) and node.id in roots:
+                dotted = ".".join([roots[node.id], *reversed(chain)]).lstrip(".")
+                out.add((path.name, dotted))
+    return sorted(out)
+
+
+def test_every_library_attribute_the_benchmark_reads_resolves():
+    # a lost name shows only when its line runs: cli_child.py evaluates its
+    # ``except`` clause, with ``parabolic.ConsistencyError``, on the first
+    # query that raises
+    paths = benchmark_attribute_paths()
+    for must in (("cli_child.py", "parabolic.ConsistencyError"), ("run.py", "desing.build_tower"),
+                 ("run.py", "weyl.bruhat_leq"), ("oracles.py", "build_tower")):
+        assert must in paths
+    for name, dotted in paths:
+        obj = lieorbits
+        for part in dotted.split("."):
+            assert hasattr(obj, part), f"{name}: lieorbits.{dotted}"
+            obj = getattr(obj, part)
+    assert lieorbits.parabolic.ConsistencyError is lieorbits.rootsys.ConsistencyError
 
 
 @pytest.mark.parametrize("workload", ["towers", "orbits"])
