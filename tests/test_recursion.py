@@ -78,7 +78,7 @@ def test_the_weyl_recursion_equals_the_root_set_recursion_on_every_tower(key):
 
 @pytest.mark.parametrize(
     "key, count",
-    [(("B", 4), 600), (("C", 4), 300), (("F", 4), 300), (("E", 6), 120), (("E", 8), 40)],
+    [(("B", 4), 600), (("C", 4), 600), (("F", 4), 300), (("E", 6), 120), (("E", 8), 40)],
     ids=["B4", "C4", "F4", "E6", "E8"],
 )
 def test_the_weyl_recursion_equals_the_root_set_recursion_on_seeded_towers(key, count):
