@@ -21,8 +21,8 @@ _EXPORTS = {
         " diagram_components_after_removal involution_i",
         "weyl": "CosetOrbit WeylElement bruhat_leq double_coset_orbits from_word identity"
         " longest_element simple_reflection weyl_group",
-        "parabolic": "ParabolicSequence RootSubset parabolic_sequence quotient_dimension"
-        " standard_borel standard_parabolic_set",
+        "parabolic": "ParabolicSequence RootSubset max_parabolic_pair next_borels"
+        " parabolic_sequence quotient_dimension standard_borel standard_parabolic_set",
         "orbits": "LeviQuotient NilradicalFiltration OrbitDescriptor complement_codim_ge2"
         " complement_min_codim is_dense_orbit levi_quotient nilradical_filtration"
         " orbit_dimension orbit_table",

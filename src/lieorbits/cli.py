@@ -333,14 +333,16 @@ def _hilbert(rd, q: Query, p_nodes, out: TextIO) -> None:
     out.write(f"{dim}\n")
 
 
-def _tower_dot(t) -> str:
+def _tower_dot(rd, t) -> str:
     """Factor boxes labelled by the sequence steps merged into them and their
     marked nodes; edges labelled with the fibre dimension of each step."""
+    from .parabolic import sigma_of
+
     names = {"p": "P", "pprime": "P'"}
     lines = ["digraph tower {", "  rankdir=LR;", "  node [shape=box];"]
-    for i, (marks, pieces) in enumerate(zip(t.marks, t.pieces), start=1):
+    for i, (factor, pieces) in enumerate(zip(t.factors, t.pieces), start=1):
         origin = "=".join(f"{names[kind]}{k}" for (kind, k), _, _ in pieces)
-        sigma = _nodes_1based(marks)
+        sigma = _nodes_1based(sigma_of(rd, factor, pieces[0][1]))
         lines.append(f"  F{i} [label=\"{origin} sigma={sigma}\"];")
     for i, fibre in enumerate(t.fibres[:-1], start=1):
         lines.append(f"  F{i} -> F{i + 1} [label=\"fibre {fibre}\"];")
@@ -352,20 +354,21 @@ def _tower_dot(t) -> str:
 
 def _desing(rd, q: Query, p_nodes, out: TextIO) -> None:
     from . import desing, weyl
+    from .parabolic import sigma_of
 
     t = desing.build_tower(rd, p_nodes, weyl.from_word(rd, q.word))
     if q.fmt == "dot":
-        out.write(_tower_dot(t))
+        out.write(_tower_dot(rd, t))
     elif q.fmt == "json":
         seq = t.sequence
         steps = [
             {
                 "n": n,
-                "sigma_p": _nodes_1based(sigma),
-                "sigma_pprime": _nodes_1based(tau),
+                "sigma_p": _nodes_1based(sigma_of(rd, pn, bn)),
+                "sigma_pprime": _nodes_1based(sigma_of(rd, ppn, bpn)),
                 "borel_union_size": len(bn | bpn),
             }
-            for n, ((bn, bpn), (sigma, tau)) in enumerate(zip(seq.borels, seq.marks), start=1)
+            for n, ((bn, bpn), (pn, ppn)) in enumerate(zip(seq.borels, seq.parabolics), start=1)
         ]
         _emit_json(
             out,

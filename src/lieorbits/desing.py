@@ -1,9 +1,7 @@
 """The tower pipeline for Schubert varieties: complete a Borel pair for a
 given Weyl element, run the alternating parabolic recursion, assemble the
 factor tower with its junctions, refine it to a chain of minimal
-parabolics, and evaluate the homogeneity/smoothness criterion.  Borels are
-Weyl elements throughout, as in ``parabolic``; root sets are built for the
-results.
+parabolics, and evaluate the homogeneity/smoothness criterion.
 """
 
 from __future__ import annotations
@@ -15,25 +13,19 @@ from .parabolic import (
     ParabolicSequence,
     RootSubset,
     apply_element,
-    gate,
-    maximal_pair,
+    borel_to_weyl,
+    chain_walk,
+    is_borel,
+    is_covering,
+    max_parabolic_pair,
+    nearest_borel,
     parabolic_sequence,
+    sigma_of,
     standard_borel,
     standard_parabolic_set,
 )
 from .rootsys import RootDatum
-from .weyl import WeylElement, double_coset_minimum, identity, longest_element
-
-
-def _completion(
-    rd: RootDatum, p_nodes: frozenset[int], w: WeylElement
-) -> tuple[WeylElement, WeylElement]:
-    """``u`` and ``w2 = w u^-1``, where ``u(B)`` is the Borel inside the
-    standard parabolic of ``p_nodes`` nearest to the Borel opposite
-    ``w(B)``: the gate of ``w w0`` in ``W_J``, J the unmarked nodes."""
-    unmarked = frozenset(range(rd.rank)) - p_nodes
-    u = gate(identity(rd), unmarked, w * longest_element(rd))
-    return u, w * u.inverse()
+from .weyl import WeylElement
 
 
 def borel_completion(
@@ -46,27 +38,28 @@ def borel_completion(
     ``w2(b) == w(B)``, ``b | w2(b) == p | w(B)``, and ``w2`` lies in the
     right coset ``w W_P`` (not always in the left coset ``W_P w``).
     """
-    u, w2 = _completion(rd, rd.check_nodes(p_nodes), w)
-    return apply_element(u, standard_borel(rd)), w2
+    p = standard_parabolic_set(rd, p_nodes)
+    bp = apply_element(w, standard_borel(rd))
+    b = nearest_borel(rd, p, bp.negated())
+    if not (is_borel(rd, b) and b <= p and b | bp == p | bp):
+        raise ConsistencyError(
+            "completion produced invalid Borels", borel=b.coords(), span=(p | bp).coords()
+        )
+    return b, w * borel_to_weyl(rd, b).inverse()
 
 
 class DesingTower(NamedTuple):
-    """Alternating factor list with junctions, quotient marks and context.
+    """Alternating factor list with junctions, quotient marks and context,
+    resolving ``w X_{w^-1}`` in ``G/P`` (see ``build_tower``).
 
-    The tower resolves ``w X_{w^-1}`` in ``G/P``, the translate by ``w`` of
-    the Schubert variety of ``w^-1``, which is not ``X_w`` in general.
     Factors run in source order (primed factors ascending, then unprimed
     descending); ``junctions[i]`` sits between ``factors[i]`` and
-    ``factors[i+1]``, and ``marks[i]`` holds the marked nodes of
-    ``factors[i]`` relative to each Borel inside it.  ``pieces[i]`` lists,
-    in order, the sequence steps merged into factor ``i`` (adjacent equal
-    factors collapse) as ``(origin, lo, hi)``: the step's tag,
-    ``("pprime", k)`` or ``("p", k)``, and the Borels inside the factor its
-    refinement chain walks up from ``lo`` to ``hi``.  Read in order, the
-    pieces step down from the moved Borel through the primed Borels, the
-    final Borel and the unprimed Borels to the base Borel.  ``fibres[i]``
-    counts the roots factor ``i`` adds over the next junction, the last
-    factor over the quotient parabolic.
+    ``factors[i+1]``.  ``pieces[i]`` lists, in order, the sequence steps
+    merged into factor ``i`` (adjacent equal factors collapse) as
+    ``(origin, lo, hi)``: the step's tag, ``("pprime", k)`` or ``("p", k)``,
+    and the Borels inside the factor its refinement chain walks up from
+    ``lo`` to ``hi``.  ``fibres[i]`` counts the roots factor ``i`` adds over
+    the next junction, the last factor over the quotient parabolic.
     """
 
     factors: tuple[RootSubset, ...]
@@ -78,40 +71,32 @@ class DesingTower(NamedTuple):
     base_word: tuple[int, ...]
     quotient_nodes: frozenset[int]
     sequence: ParabolicSequence
-    marks: tuple[frozenset[int], ...]
 
 
 def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> DesingTower:
     """Tower of parabolic factors in the quotient marked by ``p_nodes``,
     resolving ``w X_{w^-1}``, the translate by ``w`` of the Schubert variety
-    of ``w^-1`` (its torus-fixed points map onto ``w [e, w^-1] W_P``); the
-    acting Borel is standard.
+    of ``w^-1`` (its torus-fixed points map onto ``w [e, w^-1] W_P``), which
+    is not ``X_w`` in general; the acting Borel is standard.
 
     Runs the alternating recursion on the completed Borel pair, lists the
     primed parabolics ascending then the unprimed descending, with the
     intersections as junctions, and collapses adjacent equal factors.
     """
     p_nodes = rd.check_nodes(p_nodes)
-    u, w2 = _completion(rd, p_nodes, w)
-    seq = parabolic_sequence(rd, u, w)
+    b, w2 = borel_completion(rd, p_nodes, w)
+    seq = parabolic_sequence(rd, b, apply_element(w2, b))
     n = seq.terminal_index
     bs = [b for b, _ in seq.borels] + [seq.final_borel]  # B_1 .. B_n, then the aligned Borel
     bps = [bp for _, bp in seq.borels] + [seq.final_borel]
-    steps = [
-        (("pprime", k), seq.parabolics[k - 1][1], seq.marks[k - 1][1], bps[k], bps[k - 1])
-        for k in range(1, n + 1)
-    ]
-    steps += [
-        (("p", k), seq.parabolics[k - 1][0], seq.marks[k - 1][0], bs[k - 1], bs[k])
-        for k in range(n, 0, -1)
-    ]
-    factors, marks, pieces = [], [], []
-    for origin, fac, sigma, lo, hi in steps:
+    steps = [(("pprime", k), seq.parabolics[k - 1][1], bps[k], bps[k - 1]) for k in range(1, n + 1)]
+    steps += [(("p", k), seq.parabolics[k - 1][0], bs[k - 1], bs[k]) for k in range(n, 0, -1)]
+    factors, pieces = [], []
+    for origin, fac, lo, hi in steps:
         if factors and factors[-1] == fac:
             pieces[-1].append((origin, lo, hi))
         else:
             factors.append(fac)
-            marks.append(sigma)
             pieces.append([(origin, lo, hi)])
     junctions = [factors[i] & factors[i + 1] for i in range(len(factors) - 1)]
     for i, junction in enumerate(junctions):
@@ -125,12 +110,11 @@ def build_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> Desing
         tuple(junctions),
         tuple(tuple(merged) for merged in pieces),
         tuple(len(f) - len(j) for f, j in zip(factors, below)),
-        bs[0],
+        b,
         w2,
         w2.reduced_word(),
         p_nodes,
         seq,
-        tuple(marks),
     )
 
 
@@ -158,47 +142,39 @@ def demazure_refinement(rd: RootDatum, t: DesingTower) -> RefinedChain:
     """Interpolate Borel chains through every tower factor and read off the
     classical one-reflection-per-step resolution.
 
-    The grand chain descends from the moved Borel to the base Borel through
-    the Borels the pieces join; each consecutive pair spans a minimal
-    parabolic, and the induced word is a reduced expression.  A piece's
-    chain walks up from its lower Borel ``x(B)`` to its upper one, flipping
-    the simple roots ``x(alpha_i)`` that lie outside both the upper Borel
-    and the moved one, so each step stays inside the factor and gains one
-    root of the moved Borel.  The word's letters are the nodes of these
-    walks, read backwards: a reflection is an involution, so the step back
-    goes through the same node.  The word's product is ``u^-1 w2 u``, with
-    ``w2`` the tower's base element and ``u(B)`` the base Borel; that equals
-    the base element only when the base Borel is standard.
+    The grand chain descends from the moved Borel to the base Borel; each
+    consecutive pair spans a minimal parabolic, and the induced word is a
+    reduced expression.  Its letters are the nodes of the chain walks that
+    built the pieces, read backwards: a reflection is an involution, so the
+    step back goes through the same node.  The word's product is
+    ``u^-1 w2 u``, with ``w2`` the tower's base element and ``u(B)`` the
+    base Borel; that equals the base element only when the base Borel is
+    standard.
     """
-    n = rd.positive_count
-    every = frozenset(range(rd.rank))
-    minimal_parabolics = [standard_parabolic_set(rd, every - {i}) for i in range(rd.rank)]
-    seq = t.sequence
-    stations = [y for _, y in seq.elements] + [seq.final_element]
-    stations += [x for x, _ in reversed(seq.elements)]
-    moved_inv = stations[0].inverse().perm
-    spans = zip(stations, stations[1:])  # (top, bottom) of each piece, in order
-    minimal: list[RootSubset] = []
+    bp1 = t.sequence.borels[0][1]
+    # stitch the pieces down from the top of the first; each starts where the previous one ended
+    grand: list[RootSubset] = [t.pieces[0][0][2]]
     letters: list[int] = []
     groups = []
-    for merged in t.pieces:
+    for factor, merged in zip(t.factors, t.pieces):
         start = len(letters)
-        for _, (top, bottom) in zip(merged, spans):  # merged first: zip stops before taking a span
-            top_inv = top.inverse().perm
-            nodes, _, end = bottom.walk(lambda i, r: top_inv[r] >= n and moved_inv[r] >= n)
-            if end != top:
-                raise ConsistencyError(
-                    "chain stuck before reaching the target Borel",
-                    at=end.reduced_word(),
-                    target=top.reduced_word(),
-                )
-            x = top
-            for i in reversed(nodes):  # down from the top, through x and x s_i
-                minimal.append(apply_element(x, minimal_parabolics[i]))
-                x = x.times(i)
+        for _, lo, hi in merged:
+            borels, nodes = chain_walk(rd, factor, bp1, lo, hi)
+            if borels[-1] != grand[-1]:
+                raise ConsistencyError("refinement pieces do not join up")
+            grand.extend(reversed(borels[:-1]))
             letters.extend(reversed(nodes))
         groups.append((start, len(letters)))
-    return RefinedChain(tuple(minimal), tuple(reversed(letters)), tuple(groups))
+    if grand[-1] != t.base_borel:
+        raise ConsistencyError("grand chain does not end at the base Borel")
+
+    # a step flips one root, so cur | nxt is cur plus the root nxt gained;
+    # adding only that root keeps each kept set's hash table one Borel in size
+    minimal = tuple(
+        RootSubset(rd, cur.indices | (nxt.indices - cur.indices))
+        for cur, nxt in zip(grand, grand[1:])
+    )
+    return RefinedChain(minimal, tuple(reversed(letters)), tuple(groups))
 
 
 def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> bool:
@@ -206,11 +182,12 @@ def smoothness_sufficient(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement)
     whether the first maximal parabolic pair already shares a Borel, i.e.
     the resolved variety is homogeneous under a parabolic subgroup.
 
-    The pair shares a Borel exactly when its two cosets ``u W_J`` and
-    ``w W_K`` meet, the recursion's own terminal test
-    (``parabolic_sequence``): when ``u^-1 w`` lies in ``W_J W_K``."""
-    u, _ = _completion(rd, rd.check_nodes(p_nodes), w)
-    return double_coset_minimum(*maximal_pair(u, w)).length == 0
+    The intersection of two parabolics is closed, so it holds a Borel
+    exactly when it covers every opposite pair (Bourbaki, Lie Groups and
+    Lie Algebras, ch. VI §1.7, Prop. 20)."""
+    b, w2 = borel_completion(rd, p_nodes, w)
+    p1, pp1 = max_parabolic_pair(rd, b, apply_element(w2, b))
+    return is_covering(rd, p1 & pp1)
 
 
 class MinimalModel(NamedTuple):
@@ -228,16 +205,18 @@ def minimal_schubert(
 ) -> MinimalModel:
     """Largest parabolic quotient over which the Schubert variety of ``w``
     is a fibration; the variety is minimal when the given parabolic is
-    already that one.
-
-    With ``u`` and ``w2`` from the completion, the first maximal parabolic
-    over ``u(B)`` is the coset ``u W_J``.  Since ``u`` lies in the standard
-    parabolic's own ``W``, the two parabolics are equal exactly when their
-    marks are.  The dimension is the number of roots of ``w(B)`` outside
-    ``u(B)``, less the positive roots of ``Phi_J``."""
+    already that one."""
     p_nodes = rd.check_nodes(p_nodes)
-    u, w2 = _completion(rd, p_nodes, w)
-    z, unmarked, _ = maximal_pair(u, w)
-    levi = sum(1 for p in range(rd.positive_count) if rd.roots[p].support <= unmarked)
-    sigma1 = frozenset(range(rd.rank)) - unmarked
-    return MinimalModel(sigma1 == p_nodes, sigma1, z.length - levi, w2.reduced_word())
+    b, w2 = borel_completion(rd, p_nodes, w)
+    bp = apply_element(w2, b)
+    p1, _ = max_parabolic_pair(rd, b, bp)
+    sigma1 = sigma_of(rd, p1, b)
+    given = standard_parabolic_set(rd, p_nodes)
+    levi_pairs = (len(p1) - rd.positive_count)
+    dim = len(bp - b) - levi_pairs
+    return MinimalModel(
+        given == p1,
+        sigma1,
+        dim,
+        w2.reduced_word(),
+    )

@@ -1,19 +1,20 @@
-"""Root subsets, parabolics, and the alternating recursion that shrinks a
-pair of Borels to a pair of parabolics whose intersection contains a Borel.
+"""Root-subset calculus: Borels, parabolics, and the alternating recursion
+that shrinks a pair of Borels to a pair of parabolics whose intersection
+contains a Borel.
 
-A Borel containing the torus is ``x(B)`` for exactly one Weyl element ``x``,
-and the recursion holds it as that element.  The parabolic over ``x(B)``
-with marks sigma is ``x(P_sigma)``; the Borels inside it are the ``x u(B)``
-with ``u`` in ``W_J``, J the unmarked nodes, so it is the coset ``x W_J`` of
-the Coxeter complex.  The Borel inside it nearest to a Borel ``y(B)``, the
-one sharing the most roots with it, is the gate projection of ``y`` onto the
-coset (Tits; Abramenko-Brown, *Buildings*), which ``gate`` walks to.  Root
-sets are built once, for the results.
+A Borel is one root from each opposite pair, closed under addition; a
+parabolic is a closed subset containing at least one root of each pair.
+"Sum" of subalgebras is realised as root-set union followed by closure; the
+Cartan part is implicit and never stored.  Every Borel the recursion derives
+is the Borel inside some parabolic nearest to a given Borel
+(``nearest_borel``).
 
-Whether an intersection of two parabolics holds a Borel is ``is_covering``:
-such an intersection is closed, and a closed set covering every opposite
-pair is parabolic (Bourbaki, Lie Groups and Lie Algebras, ch. VI §1.7,
-Prop. 20).
+Whether a root set is a Borel is decided by the Weyl walk of
+``borel_to_weyl``, which reaches exactly the Borels among the sets of one
+root per opposite pair; no sum of roots is ever looked up.  Whether an
+intersection of two parabolics holds a Borel is ``is_covering``: such an
+intersection is closed, and a closed set covering every opposite pair is
+parabolic (Bourbaki, Lie Groups and Lie Algebras, ch. VI §1.7, Prop. 20).
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple
 
 from .rootsys import ConsistencyError, RootDatum
-from .weyl import WeylElement, double_coset_minimum, identity
+from .weyl import WeylElement, identity
 
 
 class RootSubset:
@@ -127,127 +128,215 @@ def is_covering(rd: RootDatum, s: RootSubset) -> bool:
     )
 
 
+def _one_per_pair(rd: RootDatum, s: RootSubset) -> bool:
+    n = rd.positive_count
+    # root p and its negative p + n share the residue p mod n, so n roots
+    # meet every opposite pair once exactly when their residues are distinct
+    return len(s) == n and len({i % n for i in s.indices}) == n
+
+
+def nearest_borel(rd: RootDatum, q: RootSubset, c: RootSubset) -> RootSubset:
+    """The Borel inside the parabolic ``q`` nearest to the Borel ``c``: the
+    unique one sharing the most roots with ``c``, its projection onto ``q``.
+
+    It keeps ``q``'s root on each opposite pair ``q`` holds once and ``c``'s
+    root on each pair ``q`` holds with both signs: ``q & (c | -(c - q))``.
+    """
+    flipped = frozenset(map(rd.negative_index, c.indices - q.indices))
+    return RootSubset(rd, q.indices & (c.indices | flipped))
+
+
 def borel_to_weyl(rd: RootDatum, b: RootSubset) -> WeylElement:
     """The unique element sending the standard Borel to ``b``.
 
     The walk up from the identity takes ``x`` to ``x s_i`` whenever the
-    simple root ``x(alpha_i)`` lies outside ``b`` and its negative inside,
-    so each step trades one root of the Borel ``x(B)`` for its negative, a
-    root of ``b``, and the walk ends within ``positive_count`` steps.  When
-    ``b`` is a Borel other than ``x(B)``, some simple root of ``x(B)`` lies
-    outside it, so the walk reaches ``b``; any other set is refused.
+    simple root ``x(alpha_i)`` lies outside ``b``, so each step trades one
+    root of the Borel ``x(B)`` for its negative, a root of ``b``.  A set of
+    one root per opposite pair is a Borel exactly when this walk reaches it:
+    reflections are automorphisms, so every set on the path is a Borel, and
+    a Borel other than ``b`` always has such a simple root when ``b`` is one.
     """
-    members = b.indices
-    neg = rd.negative_index
-    _, _, x = identity(rd).walk(lambda i, r: r not in members and neg(r) in members)
-    if apply_element(x, standard_borel(rd)) == b:
-        return x
+    if _one_per_pair(rd, b):
+        members = b.indices
+        _, _, x = identity(rd).walk(lambda i, r: r not in members)
+        if apply_element(x, standard_borel(rd)) == b:
+            return x
     raise ValueError("not a Borel root set")
 
 
-def maximal_pair(
-    x: WeylElement, y: WeylElement
-) -> tuple[WeylElement, frozenset[int], frozenset[int]]:
-    """The relative position ``z = x^-1 y`` of the Borels ``x(B)`` and
-    ``y(B)``, and the unmarked nodes ``J = D_R(z^-1)`` and ``K = D_R(z)`` of
-    the maximal parabolics ``x W_J`` over ``x(B)`` and ``y W_K`` over
-    ``y(B)`` inside ``x(B) | y(B)``.
+def is_borel(rd: RootDatum, s: RootSubset) -> bool:
+    """Whether ``s`` is a Borel: whether the walk of ``borel_to_weyl``
+    reaches it."""
+    try:
+        borel_to_weyl(rd, s)
+    except ValueError:
+        return False
+    return True
 
-    J holds the nodes ``i`` whose root ``x(alpha_i)`` lies outside ``y(B)``;
-    ``z^-1`` sends every positive root of ``Phi_J`` negative, so each root the
-    parabolic adds to ``x(B)`` lies in ``y(B)``.  The union holds
-    ``positive_count + l(z)`` roots.
+
+def _absent_negatives(rd: RootDatum, x: WeylElement, s: RootSubset) -> frozenset[int]:
+    """The nodes ``i`` whose root ``-x(alpha_i)`` is not in ``s``."""
+    return frozenset(
+        i
+        for i in range(rd.rank)
+        if rd.negative_index(x.perm[rd.simple_root_index(i)]) not in s.indices
+    )
+
+
+def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
+    """Marked nodes of a parabolic relative to a contained Borel."""
+    if not b <= p:
+        raise ValueError("Borel is not contained in the parabolic")
+    return _absent_negatives(rd, borel_to_weyl(rd, b), p)
+
+
+def max_parabolic_pair(
+    rd: RootDatum, b: RootSubset, bp: RootSubset
+) -> tuple[RootSubset, RootSubset]:
+    """The unique maximal parabolics over ``b`` and over ``bp`` inside the
+    union ``b | bp``: drop exactly the simple roots whose negative is absent
+    from the other Borel."""
+    out = []
+    for left, right in ((b, bp), (bp, b)):
+        x = borel_to_weyl(rd, left)
+        p = apply_element(x, standard_parabolic_set(rd, _absent_negatives(rd, x, right)))
+        if not p <= (b | bp):
+            raise ConsistencyError(
+                "maximal parabolic escapes the Borel union",
+                borel=left.coords(),
+                parabolic=p.coords(),
+            )
+        out.append(p)
+    return out[0], out[1]
+
+
+def next_borels(
+    rd: RootDatum,
+    pn: RootSubset,
+    ppn: RootSubset,
+    bn: RootSubset,
+    bpn: RootSubset,
+) -> tuple[RootSubset, RootSubset]:
+    """One step of the Borel update under a parabolic pair.
+
+    Each next Borel is the Borel inside its own parabolic nearest to the
+    Borel inside the other parabolic nearest to its previous Borel.  The
+    output is asserted to be a Borel rather than assumed; a failure is
+    reported with its full trace.
     """
-    z = x.inverse() * y
-    return z, z.inverse().descents(), z.descents()
 
+    def step(p: RootSubset, q: RootSubset, prev: RootSubset) -> RootSubset:
+        out = nearest_borel(rd, p, nearest_borel(rd, q, prev))
+        if not is_borel(rd, out):
+            raise ConsistencyError(
+                "Borel update produced a non-Borel",
+                p=p.coords(),
+                q=q.coords(),
+                previous=prev.coords(),
+                produced=out.coords(),
+            )
+        return out
 
-def gate(x: WeylElement, nodes: frozenset[int], y: WeylElement) -> WeylElement:
-    """The Borel inside the parabolic ``x W_nodes`` nearest to ``y(B)``,
-    ``x a`` with ``x^-1 y = a b``, ``a`` in ``W_nodes`` and ``b`` without a
-    left descent there: the walk from ``x`` through the nodes ``i`` whose
-    root ``x(alpha_i)`` lies outside ``y(B)``, each step one root nearer,
-    ends at the one element of the coset with no such node."""
-    n = x.rd.positive_count
-    y_inv = y.inverse().perm
-    return x.walk(lambda i, r: i in nodes and y_inv[r] >= n)[2]
+    if not (bn <= pn and bpn <= ppn):
+        raise ValueError("Borels must sit inside their parabolics")
+    return step(pn, ppn, bn), step(ppn, pn, bpn)
 
 
 class ParabolicSequence(NamedTuple):
     """The full alternating run from a pair of Borels to a terminal pair of
     parabolics whose intersection contains a Borel, plus the Borel inside that
-    intersection nearest to the last Borel.  ``elements[k]`` holds the
-    elements of the Borels ``borels[k]``, ``marks[k]`` the marked nodes of
-    the parabolics ``parabolics[k]`` over them, and ``final_element`` the
-    element of ``final_borel``."""
+    intersection nearest to the last Borel."""
 
     borels: tuple[tuple[RootSubset, RootSubset], ...]
     parabolics: tuple[tuple[RootSubset, RootSubset], ...]
     terminal_index: int  # 1-based step at which the intersection covers
     final_borel: RootSubset
-    elements: tuple[tuple[WeylElement, WeylElement], ...]
-    marks: tuple[tuple[frozenset[int], frozenset[int]], ...]
-    final_element: WeylElement
 
 
-def parabolic_sequence(
-    rd: RootDatum, b: RootSubset | WeylElement, bp: RootSubset | WeylElement
-) -> ParabolicSequence:
+def parabolic_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> ParabolicSequence:
     """Iterate maximal-parabolic extraction and the Borel update until the
     parabolic intersection contains a Borel, then take the Borel inside the
     intersection nearest to the last Borel.
 
-    Each Borel is given as its element, or as its root set, which is walked
-    back to its element.  At the Borels ``x(B)`` and ``y(B)`` the maximal
-    parabolics are the cosets ``x W_J`` and ``y W_K`` (``maximal_pair``).
-    The sequence stops when the two cosets meet, that is when ``x^-1 y``
-    lies in ``W_J W_K``, its double coset's minimal element the identity;
-    the final Borel is then the gate of ``x`` in ``y W_K``, which lies in
-    both.  Otherwise each next Borel is the gate, in its own coset, of the
-    gate of its previous Borel in the other coset.  The union of the two
-    Borels holds ``positive_count + l(x^-1 y)`` roots and must shrink at
-    every step; non-termination within ``positive_count`` steps would
-    falsify the construction and raises loudly.
+    Non-termination within ``positive_count`` steps would falsify the
+    construction and raises loudly.
     """
-    x, y = (s if s.__class__ is WeylElement else borel_to_weyl(rd, s) for s in (b, bp))
-    every = frozenset(range(rd.rank))
-    elements, marks = [], []
-    for _ in range(rd.positive_count + 1):
-        z, unmarked, unmarked_prime = maximal_pair(x, y)
-        if elements and not z.length < gap:
+    for name, s in (("first", b), ("second", bp)):
+        if not is_borel(rd, s):
+            raise ValueError(f"{name} argument is not a Borel")
+    borels = [(b, bp)]
+    parabolics = []
+    terminal = None
+    for n in range(1, rd.positive_count + 2):
+        bn, bpn = borels[-1]
+        pn, ppn = max_parabolic_pair(rd, bn, bpn)
+        parabolics.append((pn, ppn))
+        if is_covering(rd, pn & ppn):
+            terminal = n
+            break
+        nb, nbp = next_borels(rd, pn, ppn, bn, bpn)
+        if not len(nb | nbp) < len(bn | bpn):
             raise ConsistencyError(
                 "Borel union failed to shrink strictly",
-                step=len(elements),
-                before=rd.positive_count + gap,
-                after=rd.positive_count + z.length,
+                step=n,
+                before=len(bn | bpn),
+                after=len(nb | nbp),
             )
-        gap = z.length
-        elements.append((x, y))
-        marks.append((every - unmarked, every - unmarked_prime))
-        if double_coset_minimum(z, unmarked, unmarked_prime).length == 0:
-            final = gate(y, unmarked_prime, x)
-            break
-        x, y = (
-            gate(x, unmarked, gate(y, unmarked_prime, x)),
-            gate(y, unmarked_prime, gate(x, unmarked, y)),
-        )
-    else:
-        raise ConsistencyError("sequence did not terminate within positive_count steps")
-    borel = standard_borel(rd)
-
-    def parabolic(x: WeylElement, sigma: frozenset[int]) -> RootSubset:
-        return apply_element(x, standard_parabolic_set(rd, sigma))
-
-    borels = tuple((apply_element(x, borel), apply_element(y, borel)) for x, y in elements)
-    parabolics = tuple(
-        (parabolic(x, sigma), parabolic(y, tau)) for (x, y), (sigma, tau) in zip(elements, marks)
-    )
-    final_borel = apply_element(final, borel)
-    (bn, bpn), bp = borels[-1], borels[0][1]
-    if not (bn & bp) <= (final_borel & bp) <= (bpn & bp):
+        borels.append((nb, nbp))
+    if terminal is None:
         raise ConsistencyError(
-            "final Borel breaks the intersection chain", final=final_borel.coords()
+            "sequence did not terminate within positive_count steps"
         )
-    return ParabolicSequence(
-        borels, parabolics, len(elements), final_borel, tuple(elements), tuple(marks), final
-    )
+    bn, bpn = borels[-1]
+    pn, ppn = parabolics[-1]
+    meet = pn & ppn
+    final = nearest_borel(rd, meet, bn)
+    if not (is_borel(rd, final) and final <= meet):
+        raise ConsistencyError(
+            "final Borel is not a Borel inside the terminal intersection",
+            final=final.coords(),
+        )
+    if not (bn & bp) <= (final & bp) or not (final & bp) <= (bpn & bp):
+        raise ConsistencyError(
+            "final Borel breaks the intersection chain",
+            final=final.coords(),
+        )
+    return ParabolicSequence(tuple(borels), tuple(parabolics), terminal, final)
+
+
+def chain_walk(
+    rd: RootDatum,
+    p: RootSubset,
+    b_ref: RootSubset,
+    b_from: RootSubset,
+    b_to: RootSubset,
+) -> tuple[list[RootSubset], list[int]]:
+    """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
+    reflection per step, growing the intersection with ``b_ref`` by exactly
+    one root each time; returned with the node of each step.  Each step flips
+    a simple root ``r`` whose negative lies in ``b_ref & b_to``; at ``b_to``
+    none does.  The step stays in ``p`` and gains exactly one root of
+    ``b_ref`` exactly when ``-r`` lies in ``p`` and in ``b_ref`` and ``r``
+    does not lie in ``b_ref``."""
+    if not (b_from <= p and b_to <= p):
+        raise ValueError("endpoint Borels must lie inside the parabolic")
+    if not (b_from & b_ref) <= (b_to & b_ref):
+        raise ValueError("reference intersections are not nested")
+    target = (b_ref & b_to).negated().indices  # the negatives of the roots to gain
+    nodes, flipped, _ = borel_to_weyl(rd, b_from).walk(lambda i, r: r in target)
+    borels = [b_from]
+    for r in flipped:
+        neg = rd.negative_index(r)
+        if neg not in p or neg not in b_ref or r in b_ref:
+            raise ConsistencyError(
+                "chain step violated its invariants", root=rd.roots[r].coords
+            )
+        borels.append(RootSubset(rd, (borels[-1].indices - {r}) | {neg}))
+    if borels[-1] != b_to:
+        raise ConsistencyError(
+            "chain stuck before reaching the target Borel",
+            at=borels[-1].coords(),
+            target=b_to.coords(),
+        )
+    return borels, nodes
+

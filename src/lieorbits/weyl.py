@@ -72,11 +72,6 @@ class WeylElement:
         perm = tuple(map(self.perm.__getitem__, rd.reflection_perms()[i]))
         return WeylElement(rd, perm, self.length + step)
 
-    def descents(self) -> frozenset[int]:
-        """The right descents: the nodes ``i`` with ``w(alpha_i)`` negative."""
-        rd, n = self.rd, self.rd.positive_count
-        return frozenset(i for i in range(rd.rank) if self.perm[rd.simple_root_index(i)] >= n)
-
     def inverse(self) -> "WeylElement":
         inv = [0] * len(self.perm)
         for r, img in enumerate(self.perm):

@@ -3,20 +3,13 @@
 Each one re-derives a quantity the library computes another way, or checks
 a property of its results: the root list, reflection permutations and sum
 rows by dense coordinate arithmetic, the type of a subdiagram by trying
-every relabelling, root lookups, root sums and pairings,
-the iterated centres of a nilradical (the reference for its grading by
-marked height), the closure of a root set under addition, closedness and
-the Borel inside a closed set (the references for the library's Borel walk
-and covering test), the members of a double coset by breadth-first search,
-parabolics over an arbitrary Borel, Borel chains, the P^1-fibration
-candidates of a quotient and the numeric lifting rule through a ruled
-surface.
-
-It also keeps the tower pipeline as it ran on root sets, the reference for
-the library's run on Weyl elements: ``is_borel``, ``nearest_borel`` (the
-Borel inside a parabolic nearest a given one, as root-set algebra),
-``max_parabolic_pair``, ``next_borels``, ``sigma_of``, ``chain_walk`` and the
-``reference_*`` routines built on them.
+every relabelling, root lookups, root sums and pairings, the iterated
+centres of a nilradical (the reference for its grading by marked height),
+the closure of a root set under addition, closedness and the Borel inside
+a closed set (the references for the library's Borel walk and covering
+test), the members of a double coset by breadth-first search, parabolics
+over an arbitrary Borel, Borel chains, the P^1-fibration candidates of a
+quotient and the numeric lifting rule through a ruled surface.
 """
 
 from __future__ import annotations
@@ -32,7 +25,10 @@ from lieorbits.parabolic import (
     RootSubset,
     apply_element,
     borel_to_weyl,
+    chain_walk,
+    is_borel,
     is_covering,
+    nearest_borel,
     nilradical_roots,
     standard_borel,
     standard_parabolic_set,
@@ -369,258 +365,3 @@ def lift_feasible(d: int, x: int) -> tuple[bool, bool]:
         raise ValueError("relative degree and splitting exponent must be >= 0")
     liftable = (d - x) % 2 == 0 and d >= x
     return liftable, liftable and d > 0
-
-
-# -- the tower pipeline on root sets ------------------------------------------
-
-
-def _one_per_pair(rd: RootDatum, s: RootSubset) -> bool:
-    n = rd.positive_count
-    # root p and its negative p + n share the residue p mod n, so n roots
-    # meet every opposite pair once exactly when their residues are distinct
-    return len(s) == n and len({i % n for i in s.indices}) == n
-
-
-def is_borel(rd: RootDatum, s: RootSubset) -> bool:
-    """Whether ``s`` is a Borel: one root per opposite pair, reached by the
-    walk of ``borel_to_weyl``."""
-    if not _one_per_pair(rd, s):
-        return False
-    try:
-        borel_to_weyl(rd, s)
-    except ValueError:
-        return False
-    return True
-
-
-def nearest_borel(rd: RootDatum, q: RootSubset, c: RootSubset) -> RootSubset:
-    """The Borel inside the parabolic ``q`` nearest to the Borel ``c``: the
-    unique one sharing the most roots with ``c``, its projection onto ``q``.
-
-    It keeps ``q``'s root on each opposite pair ``q`` holds once and ``c``'s
-    root on each pair ``q`` holds with both signs: ``q & (c | -(c - q))``.
-    """
-    flipped = frozenset(map(rd.negative_index, c.indices - q.indices))
-    return RootSubset(rd, q.indices & (c.indices | flipped))
-
-
-def _absent_negatives(rd: RootDatum, x: WeylElement, s: RootSubset) -> frozenset[int]:
-    """The nodes ``i`` whose root ``-x(alpha_i)`` is not in ``s``."""
-    return frozenset(
-        i
-        for i in range(rd.rank)
-        if rd.negative_index(x.perm[rd.simple_root_index(i)]) not in s.indices
-    )
-
-
-def sigma_of(rd: RootDatum, p: RootSubset, b: RootSubset) -> frozenset[int]:
-    """Marked nodes of a parabolic relative to a contained Borel."""
-    if not b <= p:
-        raise ValueError("Borel is not contained in the parabolic")
-    return _absent_negatives(rd, borel_to_weyl(rd, b), p)
-
-
-def max_parabolic_pair(
-    rd: RootDatum, b: RootSubset, bp: RootSubset
-) -> tuple[RootSubset, RootSubset]:
-    """The unique maximal parabolics over ``b`` and over ``bp`` inside the
-    union ``b | bp``: drop exactly the simple roots whose negative is absent
-    from the other Borel."""
-    out = []
-    for left, right in ((b, bp), (bp, b)):
-        x = borel_to_weyl(rd, left)
-        p = apply_element(x, standard_parabolic_set(rd, _absent_negatives(rd, x, right)))
-        if not p <= (b | bp):
-            raise ConsistencyError(
-                "maximal parabolic escapes the Borel union",
-                borel=left.coords(),
-                parabolic=p.coords(),
-            )
-        out.append(p)
-    return out[0], out[1]
-
-
-def next_borels(
-    rd: RootDatum,
-    pn: RootSubset,
-    ppn: RootSubset,
-    bn: RootSubset,
-    bpn: RootSubset,
-) -> tuple[RootSubset, RootSubset]:
-    """One step of the Borel update under a parabolic pair.
-
-    Each next Borel is the Borel inside its own parabolic nearest to the
-    Borel inside the other parabolic nearest to its previous Borel.  The
-    output is asserted to be a Borel rather than assumed.
-    """
-
-    def step(p: RootSubset, q: RootSubset, prev: RootSubset) -> RootSubset:
-        out = nearest_borel(rd, p, nearest_borel(rd, q, prev))
-        if not is_borel(rd, out):
-            raise ConsistencyError(
-                "Borel update produced a non-Borel",
-                p=p.coords(),
-                q=q.coords(),
-                previous=prev.coords(),
-                produced=out.coords(),
-            )
-        return out
-
-    if not (bn <= pn and bpn <= ppn):
-        raise ValueError("Borels must sit inside their parabolics")
-    return step(pn, ppn, bn), step(ppn, pn, bpn)
-
-
-def chain_walk(
-    rd: RootDatum,
-    p: RootSubset,
-    b_ref: RootSubset,
-    b_from: RootSubset,
-    b_to: RootSubset,
-) -> tuple[list[RootSubset], list[int]]:
-    """A path of Borels inside ``p`` from ``b_from`` to ``b_to``, one simple
-    reflection per step, growing the intersection with ``b_ref`` by exactly
-    one root each time; returned with the node of each step.  Each step flips
-    a simple root ``r`` whose negative lies in ``b_ref & b_to``; at ``b_to``
-    none does."""
-    if not (b_from <= p and b_to <= p):
-        raise ValueError("endpoint Borels must lie inside the parabolic")
-    if not (b_from & b_ref) <= (b_to & b_ref):
-        raise ValueError("reference intersections are not nested")
-    target = (b_ref & b_to).negated().indices  # the negatives of the roots to gain
-    nodes, flipped, _ = borel_to_weyl(rd, b_from).walk(lambda i, r: r in target)
-    borels = [b_from]
-    for r in flipped:
-        neg = rd.negative_index(r)
-        if neg not in p or neg not in b_ref or r in b_ref:
-            raise ConsistencyError(
-                "chain step violated its invariants", root=rd.roots[r].coords
-            )
-        borels.append(RootSubset(rd, (borels[-1].indices - {r}) | {neg}))
-    if borels[-1] != b_to:
-        raise ConsistencyError(
-            "chain stuck before reaching the target Borel",
-            at=borels[-1].coords(),
-            target=b_to.coords(),
-        )
-    return borels, nodes
-
-
-def reference_sequence(rd: RootDatum, b: RootSubset, bp: RootSubset) -> dict:
-    """The alternating recursion on root sets: its Borels, parabolics,
-    terminal index and final Borel."""
-    for name, s in (("first", b), ("second", bp)):
-        if not is_borel(rd, s):
-            raise ValueError(f"{name} argument is not a Borel")
-    borels, parabolics = [(b, bp)], []
-    for n in range(1, rd.positive_count + 2):
-        bn, bpn = borels[-1]
-        pn, ppn = max_parabolic_pair(rd, bn, bpn)
-        parabolics.append((pn, ppn))
-        if is_covering(rd, pn & ppn):
-            break
-        nb, nbp = next_borels(rd, pn, ppn, bn, bpn)
-        if not len(nb | nbp) < len(bn | bpn):
-            raise ConsistencyError("Borel union failed to shrink strictly", step=n)
-        borels.append((nb, nbp))
-    else:
-        raise ConsistencyError("sequence did not terminate within positive_count steps")
-    bn, bpn = borels[-1]
-    meet = parabolics[-1][0] & parabolics[-1][1]
-    final = nearest_borel(rd, meet, bn)
-    if not (is_borel(rd, final) and final <= meet):
-        raise ConsistencyError("final Borel is not a Borel inside the terminal intersection")
-    if not (bn & bp) <= (final & bp) <= (bpn & bp):
-        raise ConsistencyError("final Borel breaks the intersection chain")
-    return {
-        "borels": tuple(borels),
-        "parabolics": tuple(parabolics),
-        "terminal_index": len(parabolics),
-        "final_borel": final,
-    }
-
-
-def reference_completion(
-    rd: RootDatum, p_nodes: Iterable[int], w: WeylElement
-) -> tuple[RootSubset, WeylElement]:
-    """The Borel inside ``p`` nearest to the Borel opposite ``w(B)``, and
-    ``w u^-1`` with ``u(B)`` that Borel."""
-    p = standard_parabolic_set(rd, p_nodes)
-    bp = apply_element(w, standard_borel(rd))
-    b = nearest_borel(rd, p, bp.negated())
-    if not (is_borel(rd, b) and b <= p and b | bp == p | bp):
-        raise ConsistencyError("completion produced invalid Borels")
-    return b, w * borel_to_weyl(rd, b).inverse()
-
-
-def reference_tower(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> dict:
-    """The tower's layout from the root-set recursion, with its refined
-    chain: factors, junctions, pieces, fibres, base Borel, base word and the
-    ``RefinedChain`` fields."""
-    p_nodes = rd.check_nodes(p_nodes)
-    b, w2 = reference_completion(rd, p_nodes, w)
-    seq = reference_sequence(rd, b, apply_element(w2, b))
-    n = seq["terminal_index"]
-    bs = [b for b, _ in seq["borels"]] + [seq["final_borel"]]
-    bps = [bp for _, bp in seq["borels"]] + [seq["final_borel"]]
-    pars = seq["parabolics"]
-    steps = [(("pprime", k), pars[k - 1][1], bps[k], bps[k - 1]) for k in range(1, n + 1)]
-    steps += [(("p", k), pars[k - 1][0], bs[k - 1], bs[k]) for k in range(n, 0, -1)]
-    factors, pieces = [], []
-    for origin, fac, lo, hi in steps:
-        if factors and factors[-1] == fac:
-            pieces[-1].append((origin, lo, hi))
-        else:
-            factors.append(fac)
-            pieces.append([(origin, lo, hi)])
-    junctions = [factors[i] & factors[i + 1] for i in range(len(factors) - 1)]
-    below = junctions + [standard_parabolic_set(rd, p_nodes)]
-
-    bp1 = seq["borels"][0][1]
-    grand, letters, groups = [pieces[0][0][2]], [], []
-    for factor, merged in zip(factors, pieces):
-        start = len(letters)
-        for _, lo, hi in merged:
-            borels, nodes = chain_walk(rd, factor, bp1, lo, hi)
-            if borels[-1] != grand[-1]:
-                raise ConsistencyError("refinement pieces do not join up")
-            grand.extend(reversed(borels[:-1]))
-            letters.extend(reversed(nodes))
-        groups.append((start, len(letters)))
-    if grand[-1] != b:
-        raise ConsistencyError("grand chain does not end at the base Borel")
-    return {
-        "sequence": seq,
-        "factors": tuple(factors),
-        "junctions": tuple(junctions),
-        "pieces": tuple(tuple(merged) for merged in pieces),
-        "fibres": tuple(len(f) - len(j) for f, j in zip(factors, below)),
-        "marks": tuple(sigma_of(rd, f, merged[0][1]) for f, merged in zip(factors, pieces)),
-        "base_borel": b,
-        "base_element": w2,
-        "base_word": w2.reduced_word(),
-        "minimal_factors": tuple(cur | nxt for cur, nxt in zip(grand, grand[1:])),
-        "word": tuple(reversed(letters)),
-        "groups": tuple(groups),
-    }
-
-
-def reference_smoothness(rd: RootDatum, p_nodes: Iterable[int], w: WeylElement) -> bool:
-    """Whether the first maximal parabolic pair shares a Borel."""
-    b, w2 = reference_completion(rd, p_nodes, w)
-    p1, pp1 = max_parabolic_pair(rd, b, apply_element(w2, b))
-    return is_covering(rd, p1 & pp1)
-
-
-def reference_minimal(
-    rd: RootDatum, p_nodes: Iterable[int], w: WeylElement
-) -> tuple[bool, frozenset[int], int, tuple[int, ...]]:
-    """The ``MinimalModel`` fields: whether the first maximal parabolic over
-    the base Borel is the given one, its marks, the dimension and the base
-    word."""
-    p_nodes = rd.check_nodes(p_nodes)
-    b, w2 = reference_completion(rd, p_nodes, w)
-    bp = apply_element(w2, b)
-    p1, _ = max_parabolic_pair(rd, b, bp)
-    dim = len(bp - b) - (len(p1) - rd.positive_count)
-    return standard_parabolic_set(rd, p_nodes) == p1, sigma_of(rd, p1, b), dim, w2.reduced_word()

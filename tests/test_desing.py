@@ -12,7 +12,7 @@ import random
 from itertools import combinations, permutations
 
 import pytest
-from oracles import is_borel_by_definition, sigma_of
+from oracles import is_borel_by_definition
 from transcripts import GOLDEN_DIR, check_golden, write_golden
 
 from lieorbits.desing import (
@@ -26,6 +26,7 @@ from lieorbits.desing import (
 from lieorbits.parabolic import (
     apply_element,
     borel_to_weyl,
+    sigma_of,
     standard_borel,
     standard_parabolic_set,
 )

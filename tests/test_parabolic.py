@@ -11,14 +11,9 @@ from oracles import (
     closed_violation,
     closure,
     contains_borel,
-    is_borel,
     is_borel_by_definition,
     is_parabolic,
-    max_parabolic_pair,
-    nearest_borel,
-    next_borels,
     parabolic_from_nodes,
-    sigma_of,
     simple_roots_of_borel,
     subset_from_json,
     sum_absorption_holds,
@@ -29,8 +24,13 @@ from lieorbits.parabolic import (
     RootSubset,
     apply_element,
     borel_to_weyl,
+    is_borel,
     is_covering,
+    max_parabolic_pair,
+    nearest_borel,
+    next_borels,
     parabolic_sequence,
+    sigma_of,
     standard_borel,
     standard_parabolic_set,
     subset_of,

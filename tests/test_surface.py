@@ -30,8 +30,8 @@ EXPORTS = {
     " diagram_components_after_removal involution_i",
     "weyl": "CosetOrbit WeylElement bruhat_leq double_coset_orbits from_word identity"
     " longest_element simple_reflection weyl_group",
-    "parabolic": "ParabolicSequence RootSubset parabolic_sequence quotient_dimension"
-    " standard_borel standard_parabolic_set",
+    "parabolic": "ParabolicSequence RootSubset max_parabolic_pair next_borels parabolic_sequence"
+    " quotient_dimension standard_borel standard_parabolic_set",
     "orbits": "LeviQuotient NilradicalFiltration OrbitDescriptor complement_codim_ge2"
     " complement_min_codim is_dense_orbit levi_quotient nilradical_filtration orbit_dimension"
     " orbit_table",
@@ -209,8 +209,6 @@ TEST_ONLY = {
     "parabolic": (
         "closure", "is_parabolic", "parabolic_from_nodes", "borel_chain", "sum_absorption_holds",
         "simple_roots_of_borel", "contains_borel", "closed_violation", "is_closed",
-        "is_borel", "_one_per_pair", "nearest_borel", "next_borels", "max_parabolic_pair",
-        "_absent_negatives", "sigma_of", "chain_walk",
     ),
     "curves": ("p1_fibration_candidates", "FibrationCandidate", "lift_feasible"),
 }
