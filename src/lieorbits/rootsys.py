@@ -15,7 +15,7 @@ undefined without its hypothesis, such as a curve on a point).
 from __future__ import annotations
 
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 #: admissible ranks per type: (minimum, maximum or None for unbounded)
 RANK_RULES = {
@@ -281,30 +281,20 @@ class DiagramComponent(NamedTuple):
         return dict(self.relabel)
 
 
-def _relabelling(sub, std) -> Optional[tuple[int, ...]]:
-    """The first relabelling ``perm`` in lexicographic order with
-    ``sub[a][b] == std[perm[a]][perm[b]]`` for every pair, or None.  Partial
-    relabellings are extended in that order, and a branch is cut as soon as
-    a pair it assigns mismatches."""
-    k = len(sub)
-    perm: list[int] = []
-
-    def extend() -> bool:
-        a = len(perm)
-        if a == k:
-            return True
-        for image in range(k):
-            if image not in perm and all(
-                sub[a][b] == std[image][perm[b]] and sub[b][a] == std[perm[b]][image]
-                for b in range(a)
-            ):
-                perm.append(image)
-                if extend():
-                    return True
-                perm.pop()
-        return False
-
-    return tuple(perm) if extend() else None
+def _relabellings(sub, std, perm: tuple[int, ...] = ()):
+    """Every relabelling ``perm`` with ``sub[a][b] == std[perm[a]][perm[b]]``
+    for every pair, in lexicographic order.  A partial relabelling is
+    extended only while every pair it assigns matches."""
+    a = len(perm)
+    if a == len(sub):
+        yield perm
+        return
+    for image in range(len(sub)):
+        if image not in perm and all(
+            sub[a][b] == std[image][perm[b]] and sub[b][a] == std[perm[b]][image]
+            for b in range(a)
+        ):
+            yield from _relabellings(sub, std, perm + (image,))
 
 
 def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent:
@@ -327,8 +317,7 @@ def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent
         if sub == std:
             return DiagramComponent(t, k, nodes, tuple(zip(nodes, range(k))))
     for t, std in candidates:
-        perm = _relabelling(sub, std)
-        if perm is not None:
+        for perm in _relabellings(sub, std):
             return DiagramComponent(t, k, nodes, tuple(zip(nodes, perm)))
     raise ConsistencyError(f"subdiagram on nodes {nodes} is not of simple type")
 
