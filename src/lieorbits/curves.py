@@ -195,41 +195,25 @@ class ExistenceVerdict(NamedTuple):
     exception_hit: Optional[str]  # "P1", "P2" or "P1xP1"
 
 
-def _classify(dim: int) -> str:
-    """Exceptional shape of a quotient of the given dimension: a line, a
-    plane, or neither."""
-    return {1: "P1", 2: "P2"}.get(dim, "other")
+def _product_verdict(parts) -> tuple[bool, Optional[str]]:
+    """Smooth-curve existence on a product of simple factors, given as
+    (dimension, degrees) pairs with strictly positive degrees.
 
-
-def _product_verdict(kinds_and_degrees) -> tuple[bool, Optional[str]]:
-    """Smooth-curve existence on a product of simple factors, every factor
-    carrying strictly positive degrees.
-
-    Any factor beyond the plane/line exceptions supports an embedded curve
-    of any strictly positive class, and one embedded coordinate makes the
-    product curve embedded.  Among exceptional factors, only a lone line, a
-    lone plane and a pair of lines need a refined degree test.
+    A factor of dimension three or more supports an embedded curve of any
+    strictly positive class, and one embedded coordinate makes the product
+    curve embedded; so do two planes, or a plane and a line.  Only a lone
+    line, a lone plane and a pair of lines need a refined degree test.  An
+    empty product carries no curve.
     """
-    kinds = [k for k, _ in kinds_and_degrees]
-    if not kinds:
-        return False, None
-    if any(k == "other" for k in kinds):
-        return True, None
-    n1 = kinds.count("P1")
-    n2 = kinds.count("P2")
-    if n2 >= 2 or (n2 == 1 and n1 >= 1):
-        return True, None
-    if n2 == 1:
-        d = kinds_and_degrees[0][1][0]
-        return d <= 2, "P2"
-    if n1 == 1:
-        d = kinds_and_degrees[0][1][0]
-        return d == 1, "P1"
-    if n1 == 2:
-        a = kinds_and_degrees[0][1][0]
-        b = kinds_and_degrees[1][1][0]
-        return min(a, b) <= 1, "P1xP1"
-    return True, None  # three or more line factors
+    dims = sorted(dim for dim, _ in parts)
+    first = [degrees[0] for _, degrees in parts]
+    if dims == [1]:
+        return first[0] == 1, "P1"
+    if dims == [2]:
+        return first[0] <= 2, "P2"
+    if dims == [1, 1]:
+        return min(first) <= 1, "P1xP1"
+    return bool(parts), None
 
 
 def decide_smooth_rational_curve(
@@ -251,13 +235,10 @@ def decide_smooth_rational_curve(
     if not marked:
         return ExistenceVerdict(True, False, None, None)
     if kind == "strict":
-        shape = _classify(quotient_dimension(rd, marked))
-        smooth, hit = _product_verdict([(shape, c.degrees)])
-        return ExistenceVerdict(True, smooth, None, hit)
-    factors = reduce_positive_class(rd, marked, c)
-    pairs = [
-        (_classify(_factor_dimension(rd, f)), f.restricted.degrees)
-        for f in factors
-    ]
-    smooth, hit = _product_verdict(pairs)
-    return ExistenceVerdict(True, smooth, tuple(factors), hit)
+        factors = None
+        parts = [(quotient_dimension(rd, marked), c.degrees)]
+    else:
+        factors = tuple(reduce_positive_class(rd, marked, c))
+        parts = [(_factor_dimension(rd, f), f.restricted.degrees) for f in factors]
+    smooth, hit = _product_verdict(parts)
+    return ExistenceVerdict(True, smooth, factors, hit)

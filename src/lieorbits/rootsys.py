@@ -27,6 +27,8 @@ RANK_RULES = {
     "F": (4, 4),
     "G": (2, 2),
 }
+#: most roots a classical type may have; its reflection tables hold rank x roots entries
+MAX_ROOTS = 25_000
 
 
 class ConsistencyError(RuntimeError):
@@ -122,6 +124,11 @@ def validate_type(lie_type: str, rank: int) -> None:
     if rank < lo or (hi is not None and rank > hi):
         bound = f"{lo}..{hi}" if hi is not None else f">= {lo}"
         raise ValueError(f"type {lie_type} requires rank {bound}, got {rank}")
+    count = {"A": rank * (rank + 1), "B": 2 * rank**2, "C": 2 * rank**2, "D": 2 * rank * (rank - 1)}
+    if count.get(lie_type, 0) > MAX_ROOTS:
+        raise ValueError(
+            f"type {lie_type}{rank} has {count[lie_type]} roots, over the limit {MAX_ROOTS}"
+        )
 
 
 def _reflection_walk(

@@ -15,7 +15,7 @@ from math import factorial, prod
 from operator import itemgetter
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .rootsys import ConsistencyError, RootDatum, diagram_components_after_removal
+from .rootsys import ConsistencyError, RootDatum
 
 DEFAULT_MAX_WEYL = 10**6
 MAX_WEYL_ENV = "LIE_MAX_WEYL"
@@ -212,12 +212,11 @@ def weyl_order(lie_type: str, rank: int) -> int:
 
 def parabolic_order(rd: RootDatum, nodes: Iterable[int]) -> int:
     """Order of the subgroup generated by the simple reflections of ``nodes``:
-    the product of |W| over the components of their subdiagram."""
-    removed = frozenset(range(rd.rank)) - rd.check_nodes(nodes)
-    return prod(
-        weyl_order(c.lie_type, c.rank)
-        for c in diagram_components_after_removal(rd, removed)
-    )
+    the product of (ht b + 1) / ht b over the positive roots b supported on
+    ``nodes`` (Kostant 1959; Macdonald 1972)."""
+    nodes = rd.check_nodes(nodes)
+    heights = [r.height for r in rd.roots[: rd.positive_count] if r.support <= nodes]
+    return prod(h + 1 for h in heights) // prod(heights)
 
 
 def double_coset_minimum(

@@ -5,6 +5,8 @@ a property of its results: the root list, reflection permutations and sum
 rows by dense coordinate arithmetic, the type of a subdiagram by trying
 every relabelling, root lookups, root sums and pairings, the iterated
 centres of a nilradical (the reference for its grading by marked height),
+the order of a parabolic subgroup by the types of its components, the
+smooth-curve decision by the exceptional shapes of its factors,
 the closure of a root set under addition, closedness and the Borel inside
 a closed set (the references for the library's Borel walk and covering
 test), the members of a double coset by breadth-first search, parabolics
@@ -17,10 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
+from math import prod
 from operator import add, mul
 from typing import Iterable, Optional, Sequence
 
-from lieorbits.curves import CurveClass
+from lieorbits.curves import (
+    CurveClass,
+    ExistenceVerdict,
+    _factor_dimension,
+    _require_keys,
+    positivity,
+    reduce_positive_class,
+)
 from lieorbits.parabolic import (
     RootSubset,
     apply_element,
@@ -30,6 +40,7 @@ from lieorbits.parabolic import (
     is_covering,
     nearest_borel,
     nilradical_roots,
+    quotient_dimension,
     standard_borel,
     standard_parabolic_set,
 )
@@ -40,8 +51,9 @@ from lieorbits.rootsys import (
     Root,
     RootDatum,
     cartan_matrix,
+    diagram_components_after_removal,
 )
-from lieorbits.weyl import CosetOrbit, WeylElement, simple_reflection
+from lieorbits.weyl import CosetOrbit, WeylElement, simple_reflection, weyl_order
 
 
 def dense_generate_roots(cartan: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -365,3 +377,64 @@ def lift_feasible(d: int, x: int) -> tuple[bool, bool]:
         raise ValueError("relative degree and splitting exponent must be >= 0")
     liftable = (d - x) % 2 == 0 and d >= x
     return liftable, liftable and d > 0
+
+
+def parabolic_order_by_components(rd: RootDatum, nodes: Iterable[int]) -> int:
+    """Order of the subgroup generated by the simple reflections of ``nodes``:
+    the product of |W| over the typed components of their subdiagram."""
+    removed = frozenset(range(rd.rank)) - rd.check_nodes(nodes)
+    return prod(
+        weyl_order(c.lie_type, c.rank)
+        for c in diagram_components_after_removal(rd, removed)
+    )
+
+
+def _classify(dim: int) -> str:
+    """Exceptional shape of a quotient of the given dimension: a line, a
+    plane, or neither."""
+    return {1: "P1", 2: "P2"}.get(dim, "other")
+
+
+def _product_verdict_by_shapes(kinds_and_degrees) -> tuple[bool, Optional[str]]:
+    """Smooth-curve existence on a product of simple factors, from the count
+    of line and plane factors among them."""
+    kinds = [k for k, _ in kinds_and_degrees]
+    if not kinds:
+        return False, None
+    if any(k == "other" for k in kinds):
+        return True, None
+    n1 = kinds.count("P1")
+    n2 = kinds.count("P2")
+    if n2 >= 2 or (n2 == 1 and n1 >= 1):
+        return True, None
+    if n2 == 1:
+        d = kinds_and_degrees[0][1][0]
+        return d <= 2, "P2"
+    if n1 == 1:
+        d = kinds_and_degrees[0][1][0]
+        return d == 1, "P1"
+    if n1 == 2:
+        a = kinds_and_degrees[0][1][0]
+        b = kinds_and_degrees[1][1][0]
+        return min(a, b) <= 1, "P1xP1"
+    return True, None  # three or more line factors
+
+
+def decide_by_shapes(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> ExistenceVerdict:
+    """The smooth-rational-curve decision with every quotient and factor
+    named by its shape before the product rule reads it."""
+    marked = rd.check_nodes(p_nodes)
+    _require_keys(marked, c)
+    kind = positivity(c)
+    if kind == "outside":
+        return ExistenceVerdict(False, False, None, None)
+    if not marked:
+        return ExistenceVerdict(True, False, None, None)
+    if kind == "strict":
+        shape = _classify(quotient_dimension(rd, marked))
+        smooth, hit = _product_verdict_by_shapes([(shape, c.degrees)])
+        return ExistenceVerdict(True, smooth, None, hit)
+    factors = reduce_positive_class(rd, marked, c)
+    pairs = [(_classify(_factor_dimension(rd, f)), f.restricted.degrees) for f in factors]
+    smooth, hit = _product_verdict_by_shapes(pairs)
+    return ExistenceVerdict(True, smooth, tuple(factors), hit)

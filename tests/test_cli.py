@@ -192,6 +192,20 @@ def test_invariant_failure_is_reported_not_raised(monkeypatch):
     assert t["stderr"].startswith("error: expected exactly one dense orbit")
 
 
+@pytest.mark.parametrize(
+    "lie_type, largest, over",
+    [("A", 157, 25122), ("B", 111, 25088), ("C", 111, 25088), ("D", 112, 25312)],
+)
+def test_classical_ranks_past_the_root_bound_are_refused(lie_type, largest, over):
+    # the largest admitted rank is only parsed: its tables hold millions of entries
+    argv = ["root-system", "--type", lie_type, "--rank"]
+    assert cli.parse_query(argv + [str(largest)]).rank == largest
+    t = transcript(argv + [str(largest + 1)])
+    assert (t["exit"], t["stdout"]) == (1, "")
+    want = f"error: type {lie_type}{largest + 1} has {over} roots, over the limit 25000\n"
+    assert t["stderr"] == want
+
+
 @pytest.mark.parametrize("cap", ["abc", "-5", "0"])
 def test_weyl_cap_must_be_a_positive_integer(monkeypatch, cap):
     monkeypatch.setenv("LIE_MAX_WEYL", cap)

@@ -7,7 +7,7 @@ from fractions import Fraction
 from itertools import combinations, product
 
 import pytest
-from oracles import lift_feasible, p1_fibration_candidates
+from oracles import decide_by_shapes, lift_feasible, p1_fibration_candidates
 
 from lieorbits import curves
 from lieorbits.curves import (
@@ -395,3 +395,20 @@ def test_curve_classes_check_their_keys_on_every_construction():
     assert c._replace(degrees=(2, 2)) == CurveClass((0, 2), (2, 2))
     with pytest.raises(ValueError, match="sorted ascending"):
         c._replace(nodes=(2, 0))
+
+
+DECISION_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 4), ("A", 5), ("B", 2), ("B", 3), ("B", 4),
+                  ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("G", 2), ("F", 4), ("E", 6)]
+
+
+@pytest.mark.parametrize("key", DECISION_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
+def test_decision_by_dimensions_matches_the_decision_by_shapes(key):
+    # degrees -1..3 on up to three marks, 0..2 on more; reductions compared too
+    rd = build_root_system(*key)
+    for k in range(rd.rank + 1):
+        values = range(-1, 4) if k <= 3 else range(3)
+        for marks in combinations(range(rd.rank), k):
+            for degrees in product(values, repeat=k):
+                c = curve_class(marks, degrees)
+                want = decide_by_shapes(rd, marks, c)
+                assert decide_smooth_rational_curve(rd, marks, c) == want, (marks, degrees)

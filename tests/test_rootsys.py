@@ -53,6 +53,24 @@ def test_root_counts_match_classical_formulas(key):
     assert rd.positive_count == CLASSICAL_COUNTS[key] // 2
 
 
+@pytest.mark.parametrize("key", sorted(k for k in CLASSICAL_COUNTS if k[0] in "ABCD"))
+def test_the_root_bound_counts_roots_as_the_classical_formulas(monkeypatch, key):
+    count = CLASSICAL_COUNTS[key]
+    monkeypatch.setattr(rootsys, "MAX_ROOTS", count)
+    rootsys.validate_type(*key)
+    monkeypatch.setattr(rootsys, "MAX_ROOTS", count - 1)
+    with pytest.raises(ValueError, match=f"has {count} roots, over the limit {count - 1}$"):
+        rootsys.validate_type(*key)
+
+
+@pytest.mark.parametrize("lie_type, largest", [("A", 157), ("B", 111), ("C", 111), ("D", 112)])
+def test_classical_ranks_stop_at_the_root_bound(lie_type, largest):
+    # only validated: the largest admitted data hold millions of table entries
+    rootsys.validate_type(lie_type, largest)
+    with pytest.raises(ValueError, match=rf"^type {lie_type}{largest + 1} has \d+ roots, over"):
+        build_root_system(lie_type, largest + 1)
+
+
 def test_rank_one_is_plus_minus_alpha():
     rd = build_root_system("A", 1)
     assert sorted(r.coords for r in rd.roots) == [(-1,), (1,)]

@@ -176,6 +176,16 @@ def test_each_command_imports_only_the_modules_it_runs(command):
     assert facts["heavy"] == []
 
 
+def test_the_installed_lie_script_runs_the_cli(capsys):
+    # pyproject.toml maps the console script to its target, which no CI step installs
+    pyproject = (PACKAGE.parents[1] / "pyproject.toml").read_text()
+    target = re.search(r'^\[project\.scripts\]\n(?:.+\n)*?lie = "([\w.]+):(\w+)"$', pyproject, re.M)
+    assert target, "no lie entry under [project.scripts]"
+    main = getattr(importlib.import_module(target[1]), target[2])
+    assert main(["root-system", "--type", "A", "--rank", "2"]) == 0
+    assert capsys.readouterr().out.startswith("A2: 6 roots, 3 positive\n")
+
+
 def library_references() -> set[str]:
     """Names the library's code reads, as a bare name or an attribute;
     definitions, docstrings and comments do not count."""

@@ -7,7 +7,7 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import act_on_root, coset_members
+from oracles import act_on_root, coset_members, parabolic_order_by_components
 
 from lieorbits.rootsys import (
     ConsistencyError,
@@ -343,6 +343,21 @@ def test_parabolic_order_of_all_nodes_is_the_group_order():
         assert parabolic_order(rd, range(rd.rank)) == weyl_order(*key) == order
         assert len(weyl_group(rd)) == order
     assert parabolic_order(build_root_system("A", 3), ()) == 1
+
+
+ORDER_TYPES = [("A", 1), ("A", 2), ("A", 3), ("A", 5), ("A", 7), ("B", 2), ("B", 3), ("B", 4),
+               ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("D", 6), ("G", 2), ("F", 4), ("E", 6),
+               ("E", 7), ("E", 8)]
+
+
+@pytest.mark.parametrize("key", ORDER_TYPES, ids=lambda k: f"{k[0]}{k[1]}")
+def test_parabolic_order_from_root_heights_matches_the_typed_components(key):
+    rd = build_root_system(*key)
+    for k in range(rd.rank + 1):
+        for nodes in combinations(range(rd.rank), k):
+            assert parabolic_order(rd, nodes) == parabolic_order_by_components(rd, nodes), nodes
+    with pytest.raises(ValueError, match="out of range"):
+        parabolic_order(rd, [rd.rank])
 
 
 def test_mixed_datum_operations_rejected():
