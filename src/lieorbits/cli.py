@@ -1,13 +1,12 @@
-"""Command-line front end: parse group/parabolic/class/word inputs,
-dispatch to the library, and emit text, JSON or DOT.
+"""Command-line front end to the lieorbits library.
 
-The CLI owns both ends: it reads 1-based node labels and reflection words
-into the library's 0-based indices, and it renders every result (text, JSON
-and DOT) from the result's 0-based fields.  The library knows no output
-format.  Library messages the CLI can reach (domain refusals and
-degree-vector mismatches) already name nodes 1-based and are printed as
-they are.  Exit codes: 0 success; 1 for a parse error, a ``ValueError``
-from the library (such as an orbit table whose walk of W/W_P' passes the
+The CLI owns both ends: it reads 1-based node labels, degree vectors and
+reflection words into the library's 0-based indices, and it renders every
+result (text, JSON and DOT) from the result's 0-based fields.  The library
+knows no output format.  Library messages the CLI can reach (domain refusals
+and degree-vector mismatches) already name nodes 1-based and are printed as
+they are.  Exit codes: 0 success; 1 for a parse error, a ``ValueError`` from
+the library (such as an orbit table whose walk of W/W_P' passes the
 ``LIE_MAX_WEYL`` cap on weights, or a degree vector whose length does not
 match the marks of P) or an internal invariant failure
 (``ConsistencyError``); 2 for a domain refusal.
@@ -109,7 +108,12 @@ def build_parser() -> Parser:
     )
     shared.add_argument("--degrees", default=None, help="degree vector, e.g. '1,0,2'")
     shared.add_argument("--format", default="text", choices=("text", "json", "dot"), dest="fmt")
-    parser = Parser(prog="lie", description=__doc__.splitlines()[0])
+    # a fixed help column: the default one moves between Python versions
+    parser = Parser(
+        prog="lie",
+        description=__doc__.splitlines()[0],
+        formatter_class=lambda prog: argparse.HelpFormatter(prog, max_help_position=15),
+    )
     sub = parser.add_subparsers(dest="command", metavar="COMMAND")
     for name, command in COMMANDS.items():
         sub.add_parser(name, help=command.help, parents=[shared])
@@ -256,20 +260,19 @@ def _levi(rd, q: Query, p_nodes, out: TextIO) -> None:
     if q.fmt == "json":
         factors = [
             {
-                "type": f.component.lie_type,
-                "rank": f.component.rank,
-                "nodes": _labels(f.component.nodes),
-                "marked": _nodes_1based(f.marked),
-                "marked_std": _nodes_1based(f.marked_std),
+                "type": c.lie_type,
+                "rank": c.rank,
+                "nodes": _labels(c.nodes),
+                "marked": _nodes_1based(c.marked),
+                "marked_std": _labels(c.marked_std),
             }
-            for f in lq.factors
+            for c in lq.factors
         ]
         return _emit_json(out, {"factors": factors, "torus_rank": lq.torus_rank})
-    for f in lq.factors:
-        c = f.component
+    for c in lq.factors:
         out.write(
             f"  {c.lie_type}{c.rank} on nodes {_labels(c.nodes)} "
-            f"marked {_nodes_1based(f.marked_std)}\n"
+            f"marked {_labels(c.marked_std)}\n"
         )
     out.write(f"  torus rank {lq.torus_rank}\n")
 
@@ -304,10 +307,10 @@ def _curves(rd, q: Query, p_nodes, out: TextIO) -> None:
                 "exception": verdict.exception_hit,
                 "reduction": None if reduction is None else [
                     {
-                        "type": f.lie_type,
-                        "rank": f.rank,
-                        "nodes": _labels(f.nodes),
-                        "marked": _labels(f.marked),
+                        "type": f.component.lie_type,
+                        "rank": f.component.rank,
+                        "nodes": _labels(f.component.nodes),
+                        "marked": _nodes_1based(f.component.marked),
                         "degrees": list(f.restricted.degrees),
                     }
                     for f in reduction

@@ -11,7 +11,13 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Optional, Sequence
 
 from .parabolic import nilradical_roots, quotient_dimension
-from .rootsys import ConsistencyError, DomainRefusal, RootDatum, diagram_components_after_removal
+from .rootsys import (
+    ConsistencyError,
+    DiagramComponent,
+    DomainRefusal,
+    RootDatum,
+    diagram_components_after_removal,
+)
 
 
 class _CurveFields(NamedTuple):
@@ -131,12 +137,8 @@ def hilbert_dimension(rd: RootDatum, p_nodes: Iterable[int], c: CurveClass) -> i
 class ReducedFactor(NamedTuple):
     """One factor of the fibre picked out by the zero-degree marks."""
 
-    lie_type: str
-    rank: int
-    nodes: tuple[int, ...]  # original labels
-    marked: tuple[int, ...]  # original labels, ascending
-    marked_std: tuple[int, ...]  # labels inside the standard component
-    restricted: CurveClass  # keyed by marked_std
+    component: DiagramComponent
+    restricted: CurveClass  # keyed by component.marked_std
 
 
 def reduce_positive_class(
@@ -146,7 +148,8 @@ def reduce_positive_class(
 
     Removing the zero nodes cuts the diagram; every component that still
     carries marks becomes a factor with the strictly positive restriction
-    of the class.  Components without marks contribute nothing.
+    of the class, keyed by ``marked_std`` (``marked[k]`` pairs with
+    ``marked_std[k]``).  Components without marks contribute nothing.
     """
     marked = rd.check_nodes(p_nodes)
     _require_keys(marked, c)
@@ -156,32 +159,18 @@ def reduce_positive_class(
     if kind == "outside":
         raise DomainRefusal("class lies outside the positive cone")
     zeros = frozenset(j for j in c.nodes if c.degree(j) == 0)
-    factors = []
-    for comp in diagram_components_after_removal(rd, zeros):
-        live = sorted(frozenset(comp.nodes) & marked)
-        if not live:
-            continue
-        relabel = comp.relabel_map
-        std = sorted(relabel[j] for j in live)
-        by_std = {relabel[j]: c.degree(j) for j in live}
-        factors.append(
-            ReducedFactor(
-                comp.lie_type,
-                comp.rank,
-                comp.nodes,
-                tuple(live),
-                tuple(std),
-                CurveClass(tuple(std), tuple(by_std[s] for s in std)),
-            )
-        )
-    return factors
+    return [
+        ReducedFactor(comp, CurveClass(comp.marked_std, tuple(c.degree(j) for j in comp.marked)))
+        for comp in diagram_components_after_removal(rd, zeros, marked)
+        if comp.marked
+    ]
 
 
 def _factor_dimension(rd: RootDatum, f: ReducedFactor) -> int:
     """Dimension of the factor's quotient, counted in the parent datum (a D3
     rebuilt alone is A3, labelled otherwise): its positive roots supported on
     the factor's nodes that meet its marks."""
-    nodes, marked = frozenset(f.nodes), frozenset(f.marked)
+    nodes, marked = frozenset(f.component.nodes), frozenset(f.component.marked)
     positive = rd.roots[: rd.positive_count]
     return sum(1 for r in positive if r.support <= nodes and not r.support.isdisjoint(marked))
 

@@ -150,20 +150,8 @@ def complement_min_codim(
     return min((total - d for d in dims), default=None)
 
 
-class LeviFactor(NamedTuple):
-    """A simple factor of the reductive quotient, with its marked nodes."""
-
-    component: DiagramComponent
-    marked: frozenset[int]  # original node labels
-
-    @property
-    def marked_std(self) -> frozenset[int]:
-        relabel = self.component.relabel_map
-        return frozenset(relabel[i] for i in self.marked)
-
-
 class LeviQuotient(NamedTuple):
-    factors: tuple[LeviFactor, ...]
+    factors: tuple[DiagramComponent, ...]
     torus_rank: int
 
 
@@ -173,8 +161,9 @@ def levi_quotient(
     """The reductive quotient R'/R as marked diagram components.
 
     Factors are the components of the diagram minus the P' marks, each
-    carrying the involuted P marks that fall inside it.  Refuses when the
-    disjointness hypothesis fails, naming an offending node.
+    carrying the involuted P marks that fall inside it (``marked[k]`` pairs
+    with ``marked_std[k]``).  Refuses when the disjointness hypothesis fails,
+    naming an offending node.
     """
     p_nodes = rd.check_nodes(p_nodes)
     pprime_nodes = rd.check_nodes(pprime_nodes)
@@ -186,10 +175,7 @@ def levi_quotient(
             f"marked-diagram description needs disjointness; node {clash[0] + 1} "
             "lies in both the involuted P marks and the P' marks"
         )
-    factors = tuple(
-        LeviFactor(comp, frozenset(comp.nodes) & moved)
-        for comp in diagram_components_after_removal(rd, pprime_nodes)
-    )
+    factors = tuple(diagram_components_after_removal(rd, pprime_nodes, moved))
     return LeviQuotient(factors, len(pprime_nodes))
 
 

@@ -276,16 +276,15 @@ def build_root_system(lie_type: str, rank: int) -> RootDatum:
 
 
 class DiagramComponent(NamedTuple):
-    """A connected piece of the Dynkin diagram after deleting nodes."""
+    """A connected piece of the Dynkin diagram after deleting nodes, with the
+    marks it holds; ``marked[k]`` pairs with ``marked_std[k]``."""
 
     lie_type: str
     rank: int
     nodes: tuple[int, ...]  # original node labels, ascending
     relabel: tuple[tuple[int, int], ...]  # (original node, standard node)
-
-    @property
-    def relabel_map(self) -> dict[int, int]:
-        return dict(self.relabel)
+    marked: tuple[int, ...] = ()  # original labels of the marks, by standard label
+    marked_std: tuple[int, ...] = ()  # their standard labels, ascending
 
 
 def _relabellings(sub, std, perm: tuple[int, ...] = ()):
@@ -330,27 +329,29 @@ def classify_subdiagram(rd: RootDatum, nodes: Sequence[int]) -> DiagramComponent
 
 
 def diagram_components_after_removal(
-    rd: RootDatum, removed: Iterable[int]
+    rd: RootDatum, removed: Iterable[int], marked: Iterable[int] = ()
 ) -> list[DiagramComponent]:
-    """Connected components of the Dynkin diagram minus the given nodes."""
+    """Connected components of the Dynkin diagram minus ``removed``, each with
+    the ``marked`` nodes it holds (``marked[k]`` pairs with ``marked_std[k]``)."""
     removed = rd.check_nodes(removed)
+    marked = rd.check_nodes(marked)
     adj = rd.adjacency()
-    left = [i for i in range(rd.rank) if i not in removed]
-    seen: set[int] = set()
+    seen = set(removed)
     components = []
-    for start in left:
+    for start in range(rd.rank):
         if start in seen:
             continue
-        comp = {start}
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
+        seen.add(start)
+        comp = [start]
+        for cur in comp:  # breadth first: comp grows while it is walked
             for nxt in adj[cur]:
-                if nxt not in removed and nxt not in comp:
-                    comp.add(nxt)
-                    frontier.append(nxt)
-        seen |= comp
-        components.append(classify_subdiagram(rd, sorted(comp)))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    comp.append(nxt)
+        piece = classify_subdiagram(rd, comp)
+        held = sorted((std, j) for j, std in piece.relabel if j in marked)
+        std, orig = zip(*held) if held else ((), ())
+        components.append(piece._replace(marked=orig, marked_std=std))
     return components
 
 

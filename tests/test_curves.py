@@ -241,7 +241,7 @@ def test_reduce_positive_class_fixtures():
     full = frozenset(range(3))
     for d in (1, 2):
         factors = reduce_positive_class(a3, full, curve_class(full, [d, 0, d]))
-        assert [(f.lie_type, f.rank, f.restricted.degrees) for f in factors] == [
+        assert [(f.component.lie_type, f.component.rank, f.restricted.degrees) for f in factors] == [
             ("A", 1, (d,)),
             ("A", 1, (d,)),
         ]
@@ -262,7 +262,7 @@ def test_reduce_outputs_strictly_positive_and_small():
                 if positivity(c) != "positive":
                     continue
                 factors = reduce_positive_class(rd, marks, c)
-                assert sum(f.rank for f in factors) <= rd.rank
+                assert sum(f.component.rank for f in factors) <= rd.rank
                 for f in factors:
                     assert all(d > 0 for d in f.restricted.degrees)
 
@@ -357,7 +357,7 @@ def test_decide_triple_line_product():
     # nodes 1, 3 are kept apart by zero-degree node 2... use degrees on 1,3,5-like split
     c = curve_class(full, [2, 0, 3, 2])
     factors = reduce_positive_class(rd, full, c)
-    assert [f.rank for f in factors] == [1, 2]
+    assert [f.component.rank for f in factors] == [1, 2]
     v = decide_smooth_rational_curve(rd, full, c)
     assert v.smooth_curve_exists and v.exception_hit is None
 
@@ -368,7 +368,7 @@ def test_decide_plane_times_line():
     full = frozenset(range(4))
     c = curve_class(full, [3, 3, 0, 4])
     factors = reduce_positive_class(rd, full, c)
-    shapes = sorted((f.lie_type, f.rank) for f in factors)
+    shapes = sorted((f.component.lie_type, f.component.rank) for f in factors)
     assert shapes == [("A", 1), ("A", 2)]
     v = decide_smooth_rational_curve(rd, full, c)
     assert v.smooth_curve_exists and v.exception_hit is None
@@ -381,7 +381,8 @@ def test_d3_factor_dimension_is_read_in_the_parent_labelling():
     rd = build_root_system("D", 6)
     marks = {2, 3}
     (factor,) = reduce_positive_class(rd, marks, curve_class(marks, [0, 1]))
-    assert (factor.lie_type, factor.rank, factor.nodes, factor.marked) == ("D", 3, (3, 4, 5), (3,))
+    c = factor.component
+    assert (c.lie_type, c.rank, c.nodes, c.marked) == ("D", 3, (3, 4, 5), (3,))
     assert curves._factor_dimension(rd, factor) == 4
     assert quotient_dimension(build_root_system("A", 3), {1}) == 4
 

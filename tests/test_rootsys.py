@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 from oracles import (
     cartan_pairing,
@@ -272,7 +274,7 @@ def test_components_after_removal_examples():
         ("A", 1, (0,)),
         ("A", 2, (2, 3)),
     ]
-    assert comps[1].relabel_map == {2: 0, 3: 1}
+    assert dict(comps[1].relabel) == {2: 0, 3: 1}
 
 
 def test_remove_nothing_returns_the_diagram_itself():
@@ -281,7 +283,7 @@ def test_remove_nothing_returns_the_diagram_itself():
         comps = diagram_components_after_removal(rd, frozenset())
         assert len(comps) == 1
         assert (comps[0].lie_type, comps[0].rank) == key
-        assert comps[0].relabel_map == {i: i for i in range(rd.rank)}
+        assert dict(comps[0].relabel) == {i: i for i in range(rd.rank)}
 
 
 def test_component_classification_distinguishes_b_and_c_tails():
@@ -296,6 +298,51 @@ def test_component_classification_distinguishes_b_and_c_tails():
 def test_removal_validates_node_indices():
     with pytest.raises(ValueError):
         diagram_components_after_removal(build_root_system("A", 2), {5})
+
+
+def check_marks_land_on_their_components(rd, removed, marked):
+    comps = diagram_components_after_removal(rd, removed, marked)
+    for comp in comps:
+        relabel = dict(comp.relabel)
+        held = sorted(frozenset(comp.nodes) & marked, key=relabel.get)
+        assert comp.marked == tuple(held), (rd, removed, marked, comp)
+        assert comp.marked_std == tuple(sorted(relabel[j] for j in held))
+    assert sorted(j for comp in comps for j in comp.marked) == sorted(marked - removed)
+
+
+def node_subsets(rank):
+    return [frozenset(j for j in range(rank) if bits >> j & 1) for bits in range(1 << rank)]
+
+
+@pytest.mark.parametrize(
+    "key",
+    [("A", n) for n in range(1, 6)] + [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4)]
+    + [("D", 4), ("D", 5), ("D", 6), ("G", 2), ("F", 4), ("E", 6)],
+    ids=lambda k: f"{k[0]}{k[1]}",
+)
+def test_marks_land_on_their_components_in_standard_labels(key):
+    # every (removed, marked) pair: each component holds the marks among its
+    # nodes, listed by standard label, beside those standard labels ascending
+    rd = build_root_system(*key)
+    subsets = node_subsets(rd.rank)
+    for removed in subsets:
+        for marked in subsets:
+            check_marks_land_on_their_components(rd, removed, marked)
+
+
+@pytest.mark.parametrize("rank", [7, 8])
+def test_marks_land_on_their_components_on_seeded_e7_e8_pairs(rank):
+    rd = build_root_system("E", rank)
+    rng = random.Random(rank)
+    for _ in range(300):
+        removed = frozenset(j for j in range(rank) if rng.random() < 0.3)
+        marked = frozenset(j for j in range(rank) if rng.random() < 0.5)
+        check_marks_land_on_their_components(rd, removed, marked)
+
+
+def test_removal_validates_mark_indices():
+    with pytest.raises(ValueError):
+        diagram_components_after_removal(build_root_system("A", 2), {0}, {5})
 
 
 def test_involution_fixtures():
