@@ -25,7 +25,7 @@ _EXPORTS = {
         " parabolic_sequence quotient_dimension standard_borel standard_parabolic_set",
         "orbits": "LeviQuotient NilradicalFiltration OrbitDescriptor complement_codim_ge2"
         " complement_min_codim is_dense_orbit levi_quotient nilradical_filtration"
-        " orbit_dimension orbit_table",
+        " orbit_table",
         "curves": "CurveClass ExistenceVerdict curve_class decide_smooth_rational_curve"
         " hilbert_dimension positivity reduce_positive_class tangent_degree"
         " tangent_degree_from_roots",

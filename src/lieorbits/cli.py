@@ -9,12 +9,15 @@ they are.  Exit codes: 0 success; 1 for a parse error, a ``ValueError`` from
 the library (such as an orbit table whose walk of W/W_P' passes the
 ``LIE_MAX_WEYL`` cap on weights, or a degree vector whose length does not
 match the marks of P) or an internal invariant failure
-(``ConsistencyError``); 2 for a domain refusal.
+(``ConsistencyError``); 2 for a domain refusal.  A reader that closes the
+pipe early (``lie orbits ... | head -1``) ends the command with exit 1 and
+nothing on stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from typing import Callable, NamedTuple, Optional, Sequence, TextIO
@@ -508,7 +511,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         q = parse_query(argv)
-        return run_query(q, sys.stdout)
+        code = run_query(q, sys.stdout)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader is gone; point stdout at devnull so that the flush at
+        # exit does not fail again (Python's documented SIGPIPE handling)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ParseExit as exc:
         print(str(exc), file=sys.stderr)
         return 1

@@ -167,9 +167,9 @@ def reduce_positive_class(
 
 
 def _factor_dimension(rd: RootDatum, f: ReducedFactor) -> int:
-    """Dimension of the factor's quotient, counted in the parent datum (a D3
-    rebuilt alone is A3, labelled otherwise): its positive roots supported on
-    the factor's nodes that meet its marks."""
+    """Dimension of the factor's quotient, counted in the parent datum, whose
+    labels the factor keeps: its positive roots supported on the factor's
+    nodes that meet its marks."""
     nodes, marked = frozenset(f.component.nodes), frozenset(f.component.marked)
     positive = rd.roots[: rd.positive_count]
     return sum(1 for r in positive if r.support <= nodes and not r.support.isdisjoint(marked))

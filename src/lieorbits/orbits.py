@@ -10,6 +10,7 @@ is generated by the complementary nodes.
 
 from __future__ import annotations
 
+from functools import cache, partial
 from typing import Iterable, NamedTuple, Optional
 
 from .parabolic import (
@@ -43,17 +44,9 @@ def weyl_generators(rd: RootDatum, marked: Iterable[int]) -> frozenset[int]:
     return frozenset(range(rd.rank)) - rd.check_nodes(marked)
 
 
-def orbit_dimension(
-    rd: RootDatum,
-    w: WeylElement,
-    p_nodes: Iterable[int],
-    pprime_nodes: Iterable[int],
-) -> int:
-    """Dimension of the orbit attached to ``w``: the roots of ``w(p')``
-    that fall outside ``p``."""
-    p = standard_parabolic_set(rd, p_nodes)
-    moved = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
-    return len(moved) - len(moved & p)
+def _root_count(rd: RootDatum, nodes: frozenset[int]) -> int:
+    """N(X): the positive roots supported on the node set X."""
+    return sum(1 for r in rd.roots[: rd.positive_count] if r.support <= nodes)
 
 
 def is_dense_orbit(
@@ -105,19 +98,29 @@ class OrbitDescriptor(NamedTuple):
 def orbit_table(
     rd: RootDatum, p_nodes: Iterable[int], pprime_nodes: Iterable[int]
 ) -> list[OrbitDescriptor]:
-    """All orbits of the marked pair, sorted by dimension then representative."""
+    """All orbits of the marked pair, sorted by dimension then representative.
+
+    With I and J the generator nodes of P and P', the orbit of the minimal
+    representative ``w`` of W_I·w·W_J is P'·w⁻¹P/P, of dimension
+    ℓ(w) + N(J) − N(K), where N(X) counts the positive roots supported on X
+    and W_K = W_J ∩ w⁻¹·W_I·w.  By Kilmoyer's theorem that intersection is
+    the standard parabolic on K = {j ∈ J : w(α_j) is a simple root of I},
+    so K is read off the permutation and no root set is built.
+    """
     p_nodes = rd.check_nodes(p_nodes)
     pprime_nodes = rd.check_nodes(pprime_nodes)
     total = quotient_dimension(rd, p_nodes)
-    cosets = double_coset_orbits(
-        rd, weyl_generators(rd, p_nodes), weyl_generators(rd, pprime_nodes)
-    )
+    left, right = weyl_generators(rd, p_nodes), weyl_generators(rd, pprime_nodes)
+    simple_left = {rd.simple_root_index(i) for i in left}
+    simple_right = [(j, rd.simple_root_index(j)) for j in right]
+    count = cache(partial(_root_count, rd))
+    base = count(right)
     out = []
-    for orbit in cosets:
-        dim = orbit_dimension(rd, orbit.representative, p_nodes, pprime_nodes)
-        out.append(
-            OrbitDescriptor(orbit.representative, dim, orbit.size, dim == total)
-        )
+    for orbit in double_coset_orbits(rd, left, right):
+        w = orbit.representative
+        k = frozenset(j for j, a in simple_right if w.perm[a] in simple_left)
+        dim = w.length + base - count(k)
+        out.append(OrbitDescriptor(w, dim, orbit.size, dim == total))
     if sum(1 for o in out if o.dense) != 1:
         raise ConsistencyError("expected exactly one dense orbit")
     sizes, order = sum(o.size for o in out), weyl_order(rd.lie_type, rd.rank)

@@ -266,12 +266,10 @@ class RootDatum:
 def build_root_system(lie_type: str, rank: int) -> RootDatum:
     """Construct the reduced root system of the given simple type.
 
-    ``(D, 3)`` is accepted and normalised to ``(A, 3)``, reflecting the
-    low-rank coincidence of the two diagrams.
+    ``(D, 3)`` keeps its own labels: node 1 is the branch node, which is
+    node 2 of the isomorphic A3.
     """
     validate_type(lie_type, rank)
-    if lie_type == "D" and rank == 3:
-        return build_root_system("A", 3)
     return RootDatum(lie_type, rank, cartan_matrix(lie_type, rank))
 
 

@@ -256,9 +256,14 @@ def double_coset_orbits(
     holds exactly one I-dominant weight ``mu`` (``mu[i] >= 0`` for i in I).
     The orbit is walked level by level in fundamental-weight coordinates;
     LIE_MAX_WEYL caps the weights visited.  For each I-dominant ``mu`` the
-    descent walk back to ``lam`` spells the double coset's minimal element,
-    and the size is |W_I|·|W_J| / |W_K| with K the nodes of I where ``mu``
-    vanishes (Kilmoyer).  Orbits come back sorted by their minimal-length
+    descent walk back to ``lam`` spells the double coset's minimal element
+    ``w``, whose permutation is composed letter by letter as the walk goes;
+    each letter adds one to the length.  The size is |W_I|·|W_J| / |W_K|
+    with K the nodes of I where ``mu`` vanishes: W_K = W_I ∩ w·W_J·w⁻¹, a
+    standard parabolic by Kilmoyer's theorem, whose conjugate
+    w⁻¹·W_K·w is the standard parabolic of {j ∈ J : w(α_j) is a simple root
+    of I}.  ``orbit_table`` counts the positive roots of that set for the
+    orbit's dimension.  Orbits come back sorted by their minimal-length
     representative.
     """
     left = rd.check_nodes(left)
@@ -291,15 +296,19 @@ def double_coset_orbits(
 
     order = cache(partial(parabolic_order, rd))
     both = order(left) * order(right)
+    # times_s[i](perm) is the tuple of w s_i (every root system has two roots or more)
+    times_s = [itemgetter(*s) for s in rd.reflection_perms()]
+    e = identity(rd).perm
     orbits = []
     for mu in dominant:
         size = both // order(frozenset(i for i in left if mu[i] == 0))
-        word = []
+        perm, length = e, 0
         while mu != lam:
             i = next(i for i, c in enumerate(mu) if c < 0)
             mu = reflect(mu, i)
-            word.append(i)
-        orbits.append(CosetOrbit(from_word(rd, word), size))
+            perm = times_s[i](perm)
+            length += 1
+        orbits.append(CosetOrbit(WeylElement(rd, perm, length), size))
     orbits.sort(key=lambda o: (o.representative.length, o.representative.perm))
     return orbits
 

@@ -9,9 +9,11 @@ the order of a parabolic subgroup by the types of its components, the
 smooth-curve decision by the exceptional shapes of its factors,
 the closure of a root set under addition, closedness and the Borel inside
 a closed set (the references for the library's Borel walk and covering
-test), the members of a double coset by breadth-first search, parabolics
-over an arbitrary Borel, Borel chains, the P^1-fibration candidates of a
-quotient and the numeric lifting rule through a ruled surface.
+test), the members of a double coset by breadth-first search, orbit
+dimensions by root sets (the reference for the orbit table's count),
+parabolics over an arbitrary Borel, Borel chains, the P^1-fibration
+candidates of a quotient and the numeric lifting rule through a ruled
+surface.
 """
 
 from __future__ import annotations
@@ -255,6 +257,20 @@ def cartan_pairing(rd: RootDatum, lam, j: int, basis: str = "weight") -> int:
 def act_on_root(w: WeylElement, gamma: Root) -> Root:
     """Image of a root under the element's permutation action."""
     return w.rd.roots[w.perm[index_of(w.rd, gamma)]]
+
+
+def orbit_dimension(
+    rd: RootDatum,
+    w: WeylElement,
+    p_nodes: Iterable[int],
+    pprime_nodes: Iterable[int],
+) -> int:
+    """Dimension of the orbit attached to ``w``, by root sets: the roots of
+    ``w(p')`` that fall outside ``p`` (the reference for ``orbit_table``'s
+    count by lengths)."""
+    p = standard_parabolic_set(rd, p_nodes)
+    moved = apply_element(w, standard_parabolic_set(rd, pprime_nodes))
+    return len(moved) - len(moved & p)
 
 
 def coset_members(

@@ -13,6 +13,12 @@ Regenerate the golden files from a trusted tree with
 
 from __future__ import annotations
 
+import fcntl
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 from transcripts import GOLDEN_DIR, check_golden, transcript, write_golden
 
@@ -29,7 +35,7 @@ MARKS = {
     ("G", 2): ["", "1", "2", "1,2"],
     ("D", 4): ["", "2", "1,3,4", "1,2,3,4"],
     ("A", 1): ["", "1"],
-    ("D", 3): ["", "1", "2,3"],  # normalised to A3
+    ("D", 3): ["", "1", "2,3"],  # in D3's own labels: node 1 is the branch node
 }
 # C3's reversed double edge, F4's middle double edge, and E6's involution and
 # relabelled components: levi with P = 1, P' = 2 marks node 6 of an A5 that
@@ -185,11 +191,29 @@ def test_word_index_past_the_rank_is_refused_from_rank_ten(lie_type, rank, word,
 
 
 def test_invariant_failure_is_reported_not_raised(monkeypatch):
-    # with every orbit of dimension 0, none is dense and orbit_table's check fails
-    monkeypatch.setattr(orbits, "orbit_dimension", lambda *args: 0)
+    # with G/P of dimension -1, no orbit is dense and orbit_table's check fails
+    monkeypatch.setattr(orbits, "quotient_dimension", lambda *args: -1)
     t = transcript(["orbits", "--type", "A", "--rank", "3", "--p", "1", "--pprime", "2"])
     assert (t["exit"], t["stdout"]) == (1, "")
     assert t["stderr"].startswith("error: expected exactly one dense orbit")
+
+
+def test_a_reader_that_closes_early_ends_the_command_quietly():
+    # a one-page pipe holds less than the table's 11 kB, so lie is still
+    # writing when the reader closes after the header
+    read_end, write_end = os.pipe()
+    fcntl.fcntl(write_end, fcntl.F_SETPIPE_SZ, 4096)
+    argv = ["orbits", "--type", "E", "--rank", "7", "--p", "4", "--pprime", "4"]
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "lieorbits.cli", *argv],
+        stdout=write_end, stderr=subprocess.PIPE, env=env,
+    )
+    os.close(write_end)
+    with os.fdopen(read_end, "rb") as reader:
+        assert reader.readline() == b"dim G/P = 53; 149 orbits\n"
+    assert proc.communicate(timeout=120)[1] == b""
+    assert proc.returncode == 1
 
 
 @pytest.mark.parametrize(

@@ -376,14 +376,15 @@ def test_decide_plane_times_line():
 
 def test_d3_factor_dimension_is_read_in_the_parent_labelling():
     # D6 marked at 3, 4 with degrees 0, 1: cutting node 3 leaves D3 on nodes
-    # 4, 5, 6 marked at its branch node 4, which is Gr(2, 4) of dimension 4;
-    # D3 rebuilt standalone is A3 in A3's labels, where that mark is an end
+    # 4, 5, 6 marked at its branch node 4, which is Gr(2, 4) of dimension 4,
+    # as is D3 built alone and marked at its branch node 1
     rd = build_root_system("D", 6)
     marks = {2, 3}
     (factor,) = reduce_positive_class(rd, marks, curve_class(marks, [0, 1]))
     c = factor.component
     assert (c.lie_type, c.rank, c.nodes, c.marked) == ("D", 3, (3, 4, 5), (3,))
     assert curves._factor_dimension(rd, factor) == 4
+    assert quotient_dimension(build_root_system("D", 3), {0}) == 4
     assert quotient_dimension(build_root_system("A", 3), {1}) == 4
 
 

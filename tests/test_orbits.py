@@ -8,7 +8,7 @@ import random
 from itertools import combinations
 
 import pytest
-from oracles import iterated_centres, sum_index
+from oracles import iterated_centres, orbit_dimension, sum_index
 from transcripts import transcript
 
 from lieorbits.orbits import (
@@ -19,7 +19,6 @@ from lieorbits.orbits import (
     levi_quotient,
     nilradical_filtration,
     nilradical_roots,
-    orbit_dimension,
     orbit_table,
     quotient_dimension,
     weyl_generators,
@@ -100,6 +99,38 @@ def test_orbit_sizes_match_stabiliser_count():
             g = o.w
             stab = sum(1 for u in wp for v in wpp if (u * g) * v == g)
             assert o.size * stab == len(wp) * len(wpp)
+
+
+# every (P, P') of these types, P = G and P' = G included
+COUNT_KEYS = [("A", n) for n in range(1, 5)] + [
+    ("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("D", 4), ("D", 5), ("F", 4), ("G", 2)
+]
+
+
+def assert_dimensions_are_the_root_set_count(rd, p, pp):
+    for o in orbit_table(rd, p, pp):
+        assert o.dimension == orbit_dimension(rd, o.w, p, pp), (sorted(p), sorted(pp), o.w)
+
+
+@pytest.mark.parametrize("key", COUNT_KEYS, ids=lambda key: f"{key[0]}{key[1]}")
+def test_orbit_dimensions_counted_by_length_are_the_root_set_count(key):
+    rd = build_root_system(*key)
+    marks = [frozenset()] + nonempty_subsets(rd.rank)
+    for p in marks:
+        for pp in marks:
+            assert_dimensions_are_the_root_set_count(rd, p, pp)
+
+
+@pytest.mark.parametrize("key", [("E", 6), ("E", 7)], ids=["E6", "E7"])
+def test_orbit_dimensions_counted_by_length_on_seeded_exceptional_pairs(key):
+    rd = build_root_system(*key)
+    rng = random.Random(f"orbit dimensions {key[0]}{key[1]}")
+    pairs = [({3}, {3})] if key == ("E", 7) else []  # 149 orbits
+    for _ in range(6):
+        p, pp = (rng.sample(range(rd.rank), rng.randint(1, 2)) for _ in range(2))
+        pairs.append((p, pp))
+    for p, pp in pairs:
+        assert_dimensions_are_the_root_set_count(rd, frozenset(p), frozenset(pp))
 
 
 def test_codim_criterion_fixtures():

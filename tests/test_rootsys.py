@@ -87,9 +87,14 @@ def test_regeneration_is_idempotent():
         assert again.reflection_perms() == rd.reflection_perms()
 
 
-def test_d3_normalises_to_a3():
+def test_d3_keeps_its_own_labels():
+    # node 1 of D3 is its branch node, so P = P' = {1} is Gr(2, 4) under the
+    # stabiliser of a plane; the orbits meet that plane in dimension 2, 1 and 0
     rd = build_root_system("D", 3)
-    assert rd is build_root_system("A", 3)
+    assert (rd.lie_type, rd.rank) == ("D", 3)
+    t = transcript(["orbits", "--type", "D", "--rank", "3", "--p", "1", "--pprime", "1"])
+    assert (t["exit"], t["stderr"]) == (0, "")
+    assert t["stdout"].splitlines()[0] == "dim G/P = 4; 3 orbits"
 
 
 @pytest.mark.parametrize(
@@ -412,7 +417,6 @@ def _node_entry_points():
         "weyl_generators": lambda rd, n: orbits.weyl_generators(rd, [n]),
         "quotient_dimension": lambda rd, n: orbits.quotient_dimension(rd, [n]),
         "orbit_table": lambda rd, n: orbits.orbit_table(rd, [n], [0]),
-        "orbit_dimension": lambda rd, n: orbits.orbit_dimension(rd, e(rd), [n], [0]),
         "complement_codim_ge2": lambda rd, n: orbits.complement_codim_ge2(rd, [n], [0]),
         "levi_quotient": lambda rd, n: orbits.levi_quotient(rd, [n], [0]),
         "nilradical_filtration": lambda rd, n: orbits.nilradical_filtration(rd, [n]),
